@@ -19,9 +19,10 @@ use crate::table::ProbTable;
 /// distribution of the partial count.
 pub fn count_distribution(table: &ProbTable, pred: &Conjunction) -> Result<Vec<f64>, DbError> {
     let mut dist = vec![1.0f64];
+    let mut top = 0;
     for (row, p) in table.iter() {
         if eval_conjunction(table.schema(), row, Some(p), pred)? {
-            fold_tuple(&mut dist, p);
+            fold_tuple(&mut dist, &mut top, p);
         }
     }
     Ok(dist)
@@ -33,8 +34,9 @@ pub fn count_distribution(table: &ProbTable, pred: &Conjunction) -> Result<Vec<f
 pub fn count_distribution_of(probs: &[f64]) -> Vec<f64> {
     let mut dist = Vec::with_capacity(probs.len() + 1);
     dist.push(1.0f64);
+    let mut top = 0;
     for &p in probs {
-        fold_tuple(&mut dist, p);
+        fold_tuple(&mut dist, &mut top, p);
     }
     dist
 }
@@ -42,14 +44,28 @@ pub fn count_distribution_of(probs: &[f64]) -> Vec<f64> {
 /// Folds one tuple with existence probability `p` into the partial-count
 /// distribution **in place**: one `push` to grow the buffer, then a
 /// backward sweep so every update reads only not-yet-overwritten entries.
-/// The DP stays O(n²) in time but drops the per-tuple `next` vector — the
-/// whole fold allocates O(1) times (the single buffer, grown amortised).
-fn fold_tuple(dist: &mut Vec<f64>, p: f64) {
+/// The whole fold allocates O(1) times (the single buffer, grown
+/// amortised).
+///
+/// `top` is the highest index that may hold a non-zero entry; every entry
+/// above it is exactly `+0.0`. Once the expected count is far below `n`
+/// the upper tail underflows to `+0.0`, and the sweep stops one past
+/// `top`: for finite `p` the skipped updates `0·(1−p) + 0·p` would
+/// evaluate to `+0.0` anyway (both products can't be `−0.0` at once), so
+/// every entry stays bit-identical to a full sweep. A non-finite `p`
+/// sweeps everything.
+fn fold_tuple(dist: &mut Vec<f64>, top: &mut usize, p: f64) {
     dist.push(0.0);
-    for k in (1..dist.len()).rev() {
+    let last = dist.len() - 1;
+    let hi = if p.is_finite() { *top + 1 } else { last };
+    for k in (1..=hi).rev() {
         dist[k] = dist[k] * (1.0 - p) + dist[k - 1] * p;
     }
     dist[0] *= 1.0 - p;
+    *top = hi;
+    while *top > 0 && dist[*top].to_bits() == 0 {
+        *top -= 1;
+    }
 }
 
 /// Expectation and variance of the sum of `values` over tuples present in
@@ -287,6 +303,7 @@ mod tests {
     use crate::query::{CmpOp, Comparison};
     use crate::schema::Schema;
     use crate::value::{ColumnType, Value};
+    use proptest::prelude::*;
 
     fn view(probs: &[f64]) -> ProbTable {
         let schema = Schema::of(&[("room", ColumnType::Int)]);
@@ -295,6 +312,75 @@ mod tests {
             v.insert(vec![Value::Int(i as i64 % 4)], p).unwrap();
         }
         v
+    }
+
+    /// The full-sweep DP [`fold_tuple`] must reproduce bit for bit.
+    fn count_distribution_full(probs: &[f64]) -> Vec<f64> {
+        let mut dist = vec![1.0f64];
+        for &p in probs {
+            dist.push(0.0);
+            for k in (1..dist.len()).rev() {
+                dist[k] = dist[k] * (1.0 - p) + dist[k - 1] * p;
+            }
+            dist[0] *= 1.0 - p;
+        }
+        dist
+    }
+
+    /// Probabilities mixing the edge values 0 and 1, tiny ones whose
+    /// products underflow, and ordinary ones.
+    fn arb_probs() -> impl Strategy<Value = Vec<f64>> {
+        proptest::collection::vec((0usize..6, 0.0f64..1.0), 0..400).prop_map(|cells| {
+            cells
+                .into_iter()
+                .map(|(kind, u)| match kind {
+                    0 => 0.0,
+                    1 => 1.0,
+                    2 => u * 1e-200,
+                    3 => u * 0.05,
+                    _ => u,
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn tail_skipping_dp_is_bit_identical_to_the_full_sweep(probs in arb_probs()) {
+            let got = count_distribution_of(&probs);
+            let want = count_distribution_full(&probs);
+            prop_assert_eq!(got.len(), probs.len() + 1);
+            let got: Vec<u64> = got.iter().map(|x| x.to_bits()).collect();
+            let want: Vec<u64> = want.iter().map(|x| x.to_bits()).collect();
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn tail_skipping_dp_handles_underflow_and_non_finite_inputs() {
+        // 3000 tuples at p = 0.02: the count's upper tail underflows to
+        // +0.0 long before n, which is exactly what the skip relies on.
+        let probs = vec![0.02; 3000];
+        let got = count_distribution_of(&probs);
+        assert!(got.iter().rev().take(100).all(|x| x.to_bits() == 0));
+        let want = count_distribution_full(&probs);
+        assert!(got
+            .iter()
+            .zip(&want)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
+        for bad in [f64::NAN, f64::INFINITY, -0.0, 1.5, -0.5] {
+            // The tiny prefix underflows the tail first, so the skip is live
+            // when the bad probability arrives.
+            let probs = [1e-200, 1e-200, 1e-200, bad, 0.7, 0.0, 1.0];
+            let got = count_distribution_of(&probs);
+            let want = count_distribution_full(&probs);
+            assert!(
+                got.iter()
+                    .zip(&want)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "p = {bad}: {got:?} vs {want:?}"
+            );
+        }
     }
 
     #[test]

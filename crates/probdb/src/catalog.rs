@@ -18,7 +18,7 @@
 //! backwards.
 
 use crate::error::DbError;
-use crate::plan::{AggregateResult, ExplainReport, PlannedQuery, Planner};
+use crate::plan::{AggregateResult, ExplainReport, PhysicalPlan, PlannedQuery, Planner};
 use crate::plan_cache::{PlanCache, PlanCacheStats};
 use crate::schema::Schema;
 use crate::shard::ShardMap;
@@ -295,8 +295,19 @@ pub trait ScanSource: std::fmt::Debug + Send + Sync {
     /// sources without a paged layout fall back to [`ScanSource::scan`]).
     /// The executor uses this to filter a disk-resident relation tuple by
     /// tuple instead of materialising it whole.
-    fn scan_stream(&self, name: &str) -> Result<Option<Box<dyn TupleStream>>, DbError> {
-        let _ = name;
+    ///
+    /// `restriction` is the plan whose `WHERE`/`THRESHOLD` the caller
+    /// applies to every streamed tuple. A paged source may skip any run of
+    /// probabilistic tuples whose [`crate::Zone`] makes
+    /// [`crate::Zone::is_prunable`] hold for it — no tuple there could
+    /// survive, or raise an error, under that restriction. `None` streams
+    /// every tuple.
+    fn scan_stream(
+        &self,
+        name: &str,
+        restriction: Option<&PhysicalPlan>,
+    ) -> Result<Option<Box<dyn TupleStream>>, DbError> {
+        let _ = (name, restriction);
         Ok(None)
     }
     /// Names of all relations the source can scan.
@@ -319,6 +330,11 @@ pub trait TupleStream {
     fn probabilistic(&self) -> bool;
     /// The next tuple, or `None` at exhaustion.
     fn next_tuple(&mut self) -> Result<Option<StreamedTuple>, DbError>;
+    /// For a paged source: `(leaves this stream reads, leaves the relation
+    /// holds)`, known before any leaf is read.
+    fn leaves(&self) -> Option<(usize, usize)> {
+        None
+    }
 }
 
 /// Drains a lazy stream into a whole relation (used when a strategy needs
@@ -344,6 +360,12 @@ fn materialize_stream(
         }
         Ok(Relation::Deterministic(t))
     }
+}
+
+/// The restriction a lazy scan of `planned`'s relation may prune by:
+/// none when a synopsis answers from the whole relation.
+fn stream_restriction(planned: &PlannedQuery) -> Option<&PhysicalPlan> {
+    (!planned.synopsis_answers_whole_relation()).then_some(&planned.physical)
 }
 
 /// An in-memory database of named relations.
@@ -983,28 +1005,27 @@ impl Database {
 
     /// Executes `planned` over the scan source's lazy tuple stream,
     /// filtering leaf by leaf instead of materialising the relation
-    /// whole. Returns `Ok(None)` when the plan or source can't stream —
-    /// `WITH WORLDS` plans (MC passes over the tuples many times, so they
-    /// materialise; `EXPLAIN` notes it) and sources without a stream.
+    /// whole. Returns `Ok(None)` when the source can't stream.
     ///
     /// Bit-identity with the materialised path is preserved by applying
     /// the *same* restrictions in the *same* observable order: `WHERE`
     /// (and `THRESHOLD`, when the strategy would apply it) run per tuple
     /// during the stream and are stripped from the plan the strategy
     /// executes; `TOP` stays with the strategy, which also keeps
-    /// ownership of the deterministic `THRESHOLD`/`TOP` rejection and the
-    /// τ range check.
+    /// ownership of the deterministic `THRESHOLD`/`TOP`/`WITH WORLDS`
+    /// rejection and the τ range check. The source skips leaves the
+    /// restriction provably empties ([`crate::Zone::is_prunable`]).
+    /// `WITH WORLDS` takes the same path: its strategy restricts before
+    /// it samples, so sampling the streamed, restricted tuples is
+    /// bit-identical to sampling the resident relation.
     fn execute_streamed(
         &self,
         planned: &PlannedQuery,
         worlds_threads: Option<usize>,
     ) -> Result<Option<QueryOutput>, DbError> {
-        use crate::plan::StrategyKind;
+        use crate::plan::{PhysicalAction, StrategyKind};
         use crate::query::eval_conjunction;
 
-        if matches!(planned.strategy, StrategyKind::Worlds(_)) {
-            return Ok(None);
-        }
         let name = &planned.physical.table;
         if self.dropped.contains(name) {
             return Ok(None);
@@ -1012,12 +1033,13 @@ impl Database {
         let Some(source) = &self.scan_source else {
             return Ok(None);
         };
-        let Some(mut stream) = source.scan_stream(name)? else {
+        let Some(mut stream) = source.scan_stream(name, stream_restriction(planned))? else {
             return Ok(None);
         };
         let threads = worlds_threads.unwrap_or_else(|| self.worlds_threads());
         let plan = &planned.physical;
         let schema = stream.schema().clone();
+        let worlds = matches!(planned.strategy, StrategyKind::Worlds(_));
 
         // A synopsis plan with no fallback answers from bucketed moments
         // over the whole relation: stream it through unfiltered and hand
@@ -1030,11 +1052,12 @@ impl Database {
         }
 
         if !stream.probabilistic() {
-            if plan.threshold.is_some() || plan.top.is_some() {
-                // The strategy rejects THRESHOLD/TOP on deterministic
-                // relations *before* evaluating any predicate; handing it
-                // an empty relation and the unstripped plan reproduces
-                // that error (and its ordering) without reading a page.
+            if worlds || plan.threshold.is_some() || plan.top.is_some() {
+                // The strategy rejects THRESHOLD/TOP/WITH WORLDS on
+                // deterministic relations *before* evaluating any
+                // predicate; handing it an empty relation and the
+                // unstripped plan reproduces that error (and its
+                // ordering) without reading a page.
                 let empty = Relation::Deterministic(Table::new(name, schema));
                 let strategy = planned.strategy_with_context(threads, None, None);
                 return strategy.execute(&empty, plan).map(Some);
@@ -1051,6 +1074,14 @@ impl Database {
             return strategy
                 .execute(&Relation::Deterministic(t), &stripped)
                 .map(Some);
+        }
+
+        // A WITH WORLDS row query validates its projection before it
+        // restricts; so must the stream, or a WHERE error would win.
+        if let (true, PhysicalAction::Rows { columns, .. }) = (worlds, &plan.action) {
+            for col in columns {
+                schema.index_of(col)?;
+            }
         }
 
         // Probabilistic: WHERE and THRESHOLD filter per tuple during the
@@ -1126,15 +1157,17 @@ impl Database {
                     .as_ref()
                     .is_some_and(|s| s.names().contains(&planned.physical.table)) =>
             {
-                use crate::plan::StrategyKind;
-                let scan_note = match &planned.strategy {
-                    StrategyKind::Worlds(_) => {
-                        " — materialises whole (MC sampling re-reads tuples)"
-                    }
-                    _ => " — lazy leaf-at-a-time scan",
-                };
+                let leaves = self
+                    .scan_source
+                    .as_ref()
+                    .map(|s| s.scan_stream(&planned.physical.table, stream_restriction(&planned)))
+                    .transpose()?
+                    .flatten()
+                    .and_then(|stream| stream.leaves())
+                    .map(|(k, n)| format!(", {k} of {n} leaves after pruning"))
+                    .unwrap_or_default();
                 format!(
-                    "{}: on disk (via scan source){scan_note}",
+                    "{}: on disk (via scan source) — lazy leaf-at-a-time scan{leaves}",
                     planned.physical.table
                 )
             }

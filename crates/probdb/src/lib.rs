@@ -83,7 +83,7 @@ pub use plan::{
 pub use plan_cache::PlanCacheStats;
 pub use query::{CmpOp, Comparison, Conjunction};
 pub use schema::Schema;
-pub use shard::{ColumnBounds, Shard, ShardMap};
+pub use shard::{ColumnBounds, Shard, ShardMap, Zone};
 pub use sql::{
     parse, AggExpr, AggFunc, DensityViewSpec, HavingClause, SelectItem, SelectStmt, Statement,
     SynopsisClause, WindowSpec, WorldsClause,

@@ -1562,7 +1562,7 @@ fn filter_rows(
 /// `try_map_segments` reports the first failing segment in order, and
 /// pruning only fires when the sequential evaluator provably could not
 /// have raised an error inside the pruned shard — see
-/// [`crate::shard::Shard`]).
+/// [`crate::shard::Zone::is_prunable`]).
 fn filter_rows_sharded(
     t: &ProbTable,
     plan: &PhysicalPlan,
@@ -1576,7 +1576,7 @@ fn filter_rows_sharded(
         |range: std::ops::Range<usize>| {
             let mut keep = Vec::new();
             for shard in &shards.shards()[range] {
-                if shard.is_prunable(schema, plan) {
+                if shard.zone().is_prunable(schema, plan) {
                     continue;
                 }
                 for i in shard.rows() {

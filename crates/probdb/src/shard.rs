@@ -10,6 +10,11 @@
 //! intersect the query's predicate (or its `THRESHOLD`) are pruned
 //! without touching a single tuple.
 //!
+//! A shard's bounds are a [`Zone`]. The storage engine keeps one per
+//! on-disk leaf and prunes its lazy scans with the same
+//! [`Zone::is_prunable`] rule, so resident and disk-backed restriction
+//! skip exactly what is provably irrelevant and nothing else.
+//!
 //! Shards are contiguous *index* ranges, never a reordering: tuple order
 //! is part of the engine's determinism contract (`TOP` ties, MC sampling
 //! order, wire encoding all depend on it). For time-series views — whose
@@ -21,8 +26,7 @@ use crate::plan::PhysicalPlan;
 use crate::query::{CmpOp, Comparison, PROB_PSEUDO_COLUMN};
 use crate::schema::Schema;
 use crate::table::ProbTable;
-use crate::value::ColumnType;
-use std::collections::BTreeMap;
+use crate::value::{ColumnType, Value};
 use std::ops::Range;
 
 /// Largest magnitude for which pruning arithmetic is trusted: every
@@ -32,14 +36,15 @@ use std::ops::Range;
 /// correctness — pruning is an optimisation).
 const EXACT_F64: f64 = 9_007_199_254_740_992.0; // 2^53
 
-/// Inclusive value range of one column within one shard, over the
+/// Inclusive value range of one column within a run of tuples, over the
 /// non-NaN values (a NaN attribute never satisfies any comparison, so
-/// excluding it from the bounds keeps pruning sound).
+/// excluding it from the bounds keeps pruning sound). An empty run has
+/// the empty range `[+inf, -inf]`, which never prunes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ColumnBounds {
-    /// Smallest value in the shard.
+    /// Smallest value in the run.
     pub min: f64,
-    /// Largest value in the shard.
+    /// Largest value in the run.
     pub max: f64,
 }
 
@@ -79,34 +84,53 @@ impl ColumnBounds {
     }
 }
 
-/// One shard: a contiguous tuple-index range plus the per-column bounds
-/// a scan uses to decide whether the shard can be skipped.
+/// The zone map of a contiguous run of tuples: the bounds of every
+/// numeric column plus the tuple-probability range (empty for
+/// deterministic tuples, which pass no probabilities). A resident
+/// [`Shard`] carries one, and so does every on-disk leaf of the storage
+/// engine; both are pruned by the same rule, [`Zone::is_prunable`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct Shard {
-    rows: Range<usize>,
-    columns: BTreeMap<String, ColumnBounds>,
+pub struct Zone {
+    /// Bounds per schema column, in schema order (`None` for text).
+    columns: Vec<Option<ColumnBounds>>,
     prob: ColumnBounds,
 }
 
-impl Shard {
-    /// The tuple indices this shard covers.
-    pub fn rows(&self) -> Range<usize> {
-        self.rows.clone()
+impl Zone {
+    /// The zone map of `rows` (with parallel tuple probabilities `probs`)
+    /// under `schema`.
+    pub fn build(schema: &Schema, rows: &[Vec<Value>], probs: &[f64]) -> Zone {
+        let columns = (0..schema.arity())
+            .map(|c| {
+                (schema.column(c).1 != ColumnType::Text)
+                    .then(|| ColumnBounds::of(rows.iter().filter_map(|row| row[c].as_f64())))
+            })
+            .collect();
+        Zone {
+            columns,
+            prob: ColumnBounds::of(probs.iter().copied()),
+        }
     }
 
-    /// Value bounds of one numeric column (`None` for text or unknown
-    /// columns).
-    pub fn bounds(&self, column: &str) -> Option<&ColumnBounds> {
-        self.columns.get(column)
+    /// Reassembles a zone map from stored bounds (one entry per schema
+    /// column, `None` for text columns).
+    pub fn from_parts(columns: Vec<Option<ColumnBounds>>, prob: ColumnBounds) -> Zone {
+        Zone { columns, prob }
     }
 
-    /// Bounds of the tuple probabilities in this shard.
+    /// Value bounds of the schema column at `index` (`None` for text
+    /// columns or an index past the schema).
+    pub fn column(&self, index: usize) -> Option<&ColumnBounds> {
+        self.columns.get(index).and_then(Option::as_ref)
+    }
+
+    /// Bounds of the tuple probabilities.
     pub fn prob_bounds(&self) -> &ColumnBounds {
         &self.prob
     }
 
-    /// Whether the whole shard can be skipped for this plan: no tuple in
-    /// it can survive the `WHERE` conjunction and `THRESHOLD`.
+    /// Whether the whole run can be skipped for this plan: no tuple in it
+    /// can survive the `WHERE` conjunction and `THRESHOLD`.
     ///
     /// Soundness hinges on matching the sequential evaluator's *error*
     /// behaviour, not just its accept set: a row is rejected at the first
@@ -116,7 +140,7 @@ impl Shard {
     /// resolves, and only prunes by `THRESHOLD` when the whole
     /// conjunction resolves (an unresolvable column would have errored
     /// during the filter the threshold runs after).
-    pub(crate) fn is_prunable(&self, schema: &Schema, plan: &PhysicalPlan) -> bool {
+    pub fn is_prunable(&self, schema: &Schema, plan: &PhysicalPlan) -> bool {
         let resolves = |cmp: &Comparison| {
             cmp.column == PROB_PSEUDO_COLUMN || schema.index_of(&cmp.column).is_ok()
         };
@@ -129,13 +153,13 @@ impl Shard {
             }
         }
         for cmp in &plan.predicate {
-            if !resolves(cmp) {
-                return false;
-            }
             let bounds = if cmp.column == PROB_PSEUDO_COLUMN {
                 Some(&self.prob)
             } else {
-                self.columns.get(&cmp.column)
+                match schema.index_of(&cmp.column) {
+                    Ok(c) => self.column(c),
+                    Err(_) => return false,
+                }
             };
             let (Some(bounds), Some(lit)) = (bounds, cmp.value.as_f64()) else {
                 continue;
@@ -145,6 +169,26 @@ impl Shard {
             }
         }
         false
+    }
+}
+
+/// One shard: a contiguous tuple-index range plus the zone map a scan
+/// uses to decide whether the shard can be skipped.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Shard {
+    rows: Range<usize>,
+    zone: Zone,
+}
+
+impl Shard {
+    /// The tuple indices this shard covers.
+    pub fn rows(&self) -> Range<usize> {
+        self.rows.clone()
+    }
+
+    /// The shard's zone map.
+    pub fn zone(&self) -> &Zone {
+        &self.zone
     }
 }
 
@@ -180,12 +224,6 @@ impl ShardMap {
                 t.name()
             )));
         }
-        let numeric: Vec<(usize, String)> = (0..t.schema().arity())
-            .filter_map(|c| {
-                let (name, ty) = t.schema().column(c);
-                (ty != ColumnType::Text).then(|| (c, name.to_string()))
-            })
-            .collect();
         let n = t.len();
         let shard_count = count.min(n).max(1);
         let base = n / shard_count;
@@ -196,23 +234,12 @@ impl ShardMap {
             let len = base + usize::from(i < rem);
             let rows = start..start + len;
             start += len;
-            let columns = numeric
-                .iter()
-                .map(|(c, name)| {
-                    let bounds = ColumnBounds::of(
-                        t.rows()[rows.clone()]
-                            .iter()
-                            .filter_map(|row| row[*c].as_f64()),
-                    );
-                    (name.clone(), bounds)
-                })
-                .collect();
-            let prob = ColumnBounds::of(t.probs()[rows.clone()].iter().copied());
-            shards.push(Shard {
-                rows,
-                columns,
-                prob,
-            });
+            let zone = Zone::build(
+                t.schema(),
+                &t.rows()[rows.clone()],
+                &t.probs()[rows.clone()],
+            );
+            shards.push(Shard { rows, zone });
         }
         Ok(ShardMap {
             column: column.to_string(),
@@ -242,24 +269,12 @@ impl ShardMap {
     pub fn covers(&self, t: &ProbTable) -> bool {
         self.relation_rows == t.len()
     }
-
-    /// The deterministic Monte-Carlo seed of one shard, derived from a
-    /// clause seed with the same SplitMix64 mixer the executor uses for
-    /// per-group/per-bucket seeds. Today's scatter-gather runs sampling
-    /// once over the merged (shard-ordered) domain, so results stay
-    /// bit-identical to unsharded execution; this hook is what a future
-    /// per-shard sampling fan-out would key its streams on.
-    pub fn shard_seed(&self, clause_seed: u64, shard: usize) -> u64 {
-        crate::worlds::mix_seed(clause_seed, shard as u64)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::{PhysicalAction, PhysicalPlan};
-    use crate::schema::Schema;
-    use crate::value::Value;
 
     fn view(n: usize) -> ProbTable {
         let schema = Schema::of(&[("t", ColumnType::Int), ("r", ColumnType::Float)]);
@@ -306,9 +321,9 @@ mod tests {
     fn bounds_track_time_ranges() {
         let v = view(100);
         let map = ShardMap::build(&v, "t", 4).unwrap();
-        let first = map.shards()[0].bounds("t").unwrap();
+        let first = map.shards()[0].zone().column(0).unwrap();
         assert_eq!((first.min, first.max), (0.0, 24.0));
-        let last = map.shards()[3].bounds("t").unwrap();
+        let last = map.shards()[3].zone().column(0).unwrap();
         assert_eq!((last.min, last.max), (75.0, 99.0));
     }
 
@@ -322,13 +337,16 @@ mod tests {
         let pruned: Vec<bool> = map
             .shards()
             .iter()
-            .map(|s| s.is_prunable(schema, &plan))
+            .map(|s| s.zone().is_prunable(schema, &plan))
             .collect();
         assert_eq!(pruned, vec![true, true, true, false]);
         // Probabilities cycle within each shard, so a THRESHOLD above
         // every shard's max prunes everything.
         let plan = scan_plan(vec![], Some(0.99));
-        assert!(map.shards().iter().all(|s| s.is_prunable(schema, &plan)));
+        assert!(map
+            .shards()
+            .iter()
+            .all(|s| s.zone().is_prunable(schema, &plan)));
         // An unresolvable column disables pruning entirely (the filter
         // must run and raise the same error the sequential path would).
         let plan = scan_plan(
@@ -338,7 +356,10 @@ mod tests {
             ],
             None,
         );
-        assert!(map.shards().iter().all(|s| !s.is_prunable(schema, &plan)));
+        assert!(map
+            .shards()
+            .iter()
+            .all(|s| !s.zone().is_prunable(schema, &plan)));
     }
 
     #[test]
@@ -350,20 +371,5 @@ mod tests {
         let mut text = ProbTable::new("txt", schema);
         text.insert(vec![Value::Text("a".into())], 0.5).unwrap();
         assert!(ShardMap::build(&text, "tag", 2).is_err());
-    }
-
-    #[test]
-    fn shard_seeds_are_deterministic_and_distinct() {
-        let v = view(64);
-        let map = ShardMap::build(&v, "t", 8).unwrap();
-        let seeds: Vec<u64> = (0..8).map(|i| map.shard_seed(7, i)).collect();
-        assert_eq!(
-            seeds,
-            (0..8).map(|i| map.shard_seed(7, i)).collect::<Vec<_>>()
-        );
-        let mut unique = seeds.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), seeds.len());
     }
 }

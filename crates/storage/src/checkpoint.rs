@@ -21,18 +21,20 @@
 //! An [`CheckpointSource::Append`] reuses the old leaf chain as an
 //! unchanged prefix and writes only leaves for the appended suffix, a
 //! fresh interior chain and a fresh catalog chain — O(dirty), not
-//! O(relation). [`CheckpointSource::Keep`] writes nothing for the
+//! O(relation). The prefix's interior entries (counts and zone maps) are
+//! carried forward from the in-memory [`RelationLayout`], never re-read.
+//! [`CheckpointSource::Keep`] writes nothing for the
 //! relation at all. Pages that were reachable only from the *previous*
 //! epoch become free slots for the *next* checkpoint, so space is
 //! reclaimed one checkpoint late, never sooner than a reader holding the
 //! old snapshot could still need it.
 
-use crate::codec::Writer;
+use crate::codec::{Reader, Writer};
 use crate::error::StorageError;
 use crate::page::{Page, PageKind, PAYLOAD_LEN};
 use crate::CatalogEntry;
 use std::collections::BTreeSet;
-use tspdb_probdb::Relation;
+use tspdb_probdb::{ColumnBounds, ColumnType, Relation, Schema, Value, Zone};
 
 /// Fault-injection points inside [`crate::Storage::checkpoint_incremental`]
 /// (tests only). Each simulates the process dying at one window of the
@@ -85,12 +87,24 @@ pub struct CheckpointStats {
     pub relations_rewritten: usize,
 }
 
-/// The page ids one relation occupies on disk — everything reachable from
-/// its catalog entry's root.
+/// One leaf as its interior-chain entry records it: the page id, the
+/// tuple count, and the leaf's zone map (the bounds lazy scans prune by).
+#[derive(Debug, Clone, PartialEq)]
+pub struct LeafEntry {
+    /// Leaf page id.
+    pub id: u64,
+    /// Tuples the leaf holds.
+    pub count: u32,
+    /// Bounds of the leaf's numeric columns and tuple probabilities.
+    pub zone: Zone,
+}
+
+/// The page layout of one relation — everything reachable from its
+/// catalog entry's root — with the interior entries decoded.
 #[derive(Debug, Clone, Default)]
 pub struct RelationLayout {
-    /// Leaf page ids, in tuple order.
-    pub leaves: Vec<u64>,
+    /// Leaf entries, in tuple order.
+    pub leaves: Vec<LeafEntry>,
     /// Interior-chain page ids, in chain order (empty for an empty
     /// relation).
     pub interior: Vec<u64>,
@@ -99,7 +113,10 @@ pub struct RelationLayout {
 impl RelationLayout {
     /// All page ids of the layout.
     pub fn pages(&self) -> impl Iterator<Item = u64> + '_ {
-        self.leaves.iter().chain(self.interior.iter()).copied()
+        self.leaves
+            .iter()
+            .map(|l| l.id)
+            .chain(self.interior.iter().copied())
     }
 }
 
@@ -140,36 +157,38 @@ impl SlotAllocator {
 }
 
 /// Encodes `relation`'s rows from index `from` onwards into sealed leaf
-/// pages (greedy packing; page ids are assigned by the caller).
-pub(crate) fn encode_leaves(relation: &Relation, from: usize) -> Result<Vec<Page>, StorageError> {
-    let n_rows = match relation {
-        Relation::Deterministic(t) => t.len(),
-        Relation::Probabilistic(t) => t.len(),
+/// pages (greedy packing; page ids are assigned by the caller), each
+/// paired with its zone map, computed while the leaf is written.
+pub(crate) fn encode_leaves(
+    relation: &Relation,
+    from: usize,
+) -> Result<Vec<(Page, Zone)>, StorageError> {
+    let (schema, rows, probs): (&Schema, &[Vec<Value>], &[f64]) = match relation {
+        Relation::Deterministic(t) => (t.schema(), t.rows(), &[]),
+        Relation::Probabilistic(t) => (t.schema(), t.rows(), t.probs()),
     };
-    let mut leaves: Vec<Page> = Vec::new();
+    let mut leaves: Vec<(Page, Zone)> = Vec::new();
     let mut payload = Writer::new();
-    let mut count = 0u32;
-    let seal = |payload: &mut Writer, count: &mut u32, leaves: &mut Vec<Page>| {
+    let mut start = from;
+    let mut seal = |payload: &mut Writer, start: &mut usize, end: usize| {
         let mut leaf = Page::new(PageKind::Leaf);
         leaf.set_payload(&std::mem::take(payload).into_bytes());
-        leaf.set_count(*count);
-        *count = 0;
-        leaves.push(leaf);
+        leaf.set_count((end - *start) as u32);
+        let zone = Zone::build(
+            schema,
+            &rows[*start..end],
+            probs.get(*start..end).unwrap_or(&[]),
+        );
+        leaves.push((leaf, zone));
+        *start = end;
     };
-    for i in from..n_rows {
+    for (i, row) in rows.iter().enumerate().skip(from) {
         let mut tuple = Writer::new();
-        match relation {
-            Relation::Deterministic(t) => {
-                for v in &t.rows()[i] {
-                    tuple.put_value(v);
-                }
-            }
-            Relation::Probabilistic(t) => {
-                tuple.put_f64(t.probs()[i]);
-                for v in &t.rows()[i] {
-                    tuple.put_value(v);
-                }
-            }
+        if let Some(p) = probs.get(i) {
+            tuple.put_f64(*p);
+        }
+        for v in row {
+            tuple.put_value(v);
         }
         let tuple = tuple.into_bytes();
         if tuple.len() > PAYLOAD_LEN {
@@ -179,34 +198,97 @@ pub(crate) fn encode_leaves(relation: &Relation, from: usize) -> Result<Vec<Page
             });
         }
         if payload.len() + tuple.len() > PAYLOAD_LEN {
-            seal(&mut payload, &mut count, &mut leaves);
+            seal(&mut payload, &mut start, i);
         }
         payload.put_raw(&tuple);
-        count += 1;
     }
-    if count > 0 {
-        seal(&mut payload, &mut count, &mut leaves);
+    if start < rows.len() {
+        seal(&mut payload, &mut start, rows.len());
     }
     Ok(leaves)
 }
 
-/// Builds the interior chain over `leaf_ids` — unlinked; the caller
+/// Bytes of one interior entry (format v3): leaf id, tuple count,
+/// probability bounds, then min/max per numeric column in schema order.
+fn interior_entry_len(schema: &Schema) -> usize {
+    let numeric = (0..schema.arity())
+        .filter(|&c| schema.column(c).1 != ColumnType::Text)
+        .count();
+    8 + 4 + 16 + 16 * numeric
+}
+
+/// Builds the interior chain over `leaves` — unlinked; the caller
 /// assigns ids and sets the `next` pointers.
-pub(crate) fn build_interior_pages(leaf_ids: &[u64]) -> Vec<Page> {
-    let ids_per_page = PAYLOAD_LEN / 8;
-    leaf_ids
-        .chunks(ids_per_page)
+pub(crate) fn build_interior_pages(
+    schema: &Schema,
+    leaves: &[LeafEntry],
+) -> Result<Vec<Page>, StorageError> {
+    let entry_len = interior_entry_len(schema);
+    if entry_len > PAYLOAD_LEN {
+        return Err(StorageError::BadDatabase(format!(
+            "a {}-column schema's interior entry exceeds one page",
+            schema.arity()
+        )));
+    }
+    let pages = leaves
+        .chunks(PAYLOAD_LEN / entry_len)
         .map(|chunk| {
-            let mut interior = Page::new(PageKind::Interior);
             let mut w = Writer::new();
-            for id in chunk {
-                w.put_u64(*id);
+            for leaf in chunk {
+                w.put_u64(leaf.id);
+                w.put_u32(leaf.count);
+                let prob = leaf.zone.prob_bounds();
+                w.put_f64(prob.min);
+                w.put_f64(prob.max);
+                for c in 0..schema.arity() {
+                    if let Some(b) = leaf.zone.column(c) {
+                        w.put_f64(b.min);
+                        w.put_f64(b.max);
+                    }
+                }
             }
+            let mut interior = Page::new(PageKind::Interior);
             interior.set_payload(&w.into_bytes());
             interior.set_count(chunk.len() as u32);
             interior
         })
-        .collect()
+        .collect();
+    Ok(pages)
+}
+
+/// Decodes the entries of one interior page written by
+/// [`build_interior_pages`] under `schema`.
+pub(crate) fn read_interior_entries(
+    page: &Page,
+    id: u64,
+    schema: &Schema,
+    out: &mut Vec<LeafEntry>,
+) -> Result<(), StorageError> {
+    let mut r = Reader::new(page.payload(), id);
+    let bounds = |r: &mut Reader<'_>| -> Result<ColumnBounds, StorageError> {
+        Ok(ColumnBounds {
+            min: r.take_f64()?,
+            max: r.take_f64()?,
+        })
+    };
+    for _ in 0..page.count() {
+        let leaf = r.take_u64()?;
+        let count = r.take_u32()?;
+        let prob = bounds(&mut r)?;
+        let mut columns = Vec::with_capacity(schema.arity());
+        for c in 0..schema.arity() {
+            columns.push(match schema.column(c).1 {
+                ColumnType::Text => None,
+                _ => Some(bounds(&mut r)?),
+            });
+        }
+        out.push(LeafEntry {
+            id: leaf,
+            count,
+            zone: Zone::from_parts(columns, prob),
+        });
+    }
+    Ok(())
 }
 
 /// Builds the catalog chain over `entries` (greedy packing) — unlinked;
@@ -251,7 +333,7 @@ pub(crate) fn build_catalog_pages<'a>(
     Ok(pages)
 }
 
-/// Builds one sealed-ready meta page (format v2).
+/// Builds one sealed-ready meta page (format v3).
 pub(crate) fn build_meta_page(epoch: u64, n_pages: u64, catalog_root: u64, wal_floor: u64) -> Page {
     let mut meta = Writer::new();
     meta.put_raw(crate::DB_MAGIC);

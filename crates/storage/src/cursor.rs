@@ -1,76 +1,20 @@
-//! Cursors over a relation's interior/leaf page chains.
+//! The tuple cursor over a relation's leaf pages.
 //!
-//! A relation on disk is an **interior chain** — pages whose payload is the
-//! ordered list of leaf page ids — and the **leaf pages** those ids point
-//! at, each holding `count` encoded tuples. [`PageCursor`] walks the
-//! interior chain once up front and then hands out leaves in order;
-//! [`TupleCursor`] decodes tuples out of those leaves one at a time.
-//! Both read through the pager, so a warm scan never touches the disk.
-//!
-//! Cursors are generic over *how* they hold the pager: a borrowed
-//! `&Pager` for short scans, or an owned `Arc<Pager>` when the cursor
-//! must outlive the stack frame (the lazy [`crate::RelationStream`] the
-//! query engine pulls tuples through).
+//! A relation on disk is an **interior chain** — pages whose entries
+//! list the relation's leaves, each with its tuple count and zone map —
+//! and the **leaf pages** those entries point at, each holding `count`
+//! encoded tuples. The interior chain is decoded once, when the database
+//! opens or a checkpoint publishes it ([`crate::RelationLayout`]); a
+//! [`TupleCursor`] is handed the leaves to read (all of them, or the ones
+//! a scan's restriction could not prune) and decodes their tuples one at
+//! a time through the pager, so a warm scan never touches the disk.
 
 use crate::codec::Reader;
 use crate::error::StorageError;
 use crate::page::{Page, PageKind};
 use crate::pager::Pager;
-use std::borrow::Borrow;
-use std::collections::VecDeque;
 use std::sync::Arc;
 use tspdb_probdb::{Schema, Value};
-
-/// Iterates the leaf pages of one relation, in tuple order.
-#[derive(Debug)]
-pub struct PageCursor<P: Borrow<Pager>> {
-    pager: P,
-    leaves: VecDeque<u64>,
-}
-
-impl<P: Borrow<Pager>> PageCursor<P> {
-    /// Walks the interior chain rooted at `root` (0 = empty relation) and
-    /// prepares to iterate its leaves.
-    pub fn new(pager: P, root: u64) -> Result<Self, StorageError> {
-        let mut leaves = VecDeque::new();
-        let mut id = root;
-        while id != 0 {
-            let page = pager.borrow().get(id)?;
-            if page.kind() != PageKind::Interior {
-                return Err(StorageError::CorruptPage {
-                    page: id,
-                    reason: format!("expected an interior page, found {:?}", page.kind()),
-                });
-            }
-            let mut r = Reader::new(page.payload(), id);
-            for _ in 0..page.count() {
-                leaves.push_back(r.take_u64()?);
-            }
-            id = page.next();
-        }
-        Ok(PageCursor { pager, leaves })
-    }
-
-    /// Number of leaves not yet returned.
-    pub fn remaining_leaves(&self) -> usize {
-        self.leaves.len()
-    }
-
-    /// The next leaf page, or `None` when the relation is exhausted.
-    pub fn next_leaf(&mut self) -> Result<Option<(u64, Arc<Page>)>, StorageError> {
-        let Some(id) = self.leaves.pop_front() else {
-            return Ok(None);
-        };
-        let page = self.pager.borrow().get(id)?;
-        if page.kind() != PageKind::Leaf {
-            return Err(StorageError::CorruptPage {
-                page: id,
-                reason: format!("expected a leaf page, found {:?}", page.kind()),
-            });
-        }
-        Ok(Some((id, page)))
-    }
-}
 
 /// One decoded tuple: the row plus its existence probability
 /// (`None` for deterministic relations).
@@ -85,52 +29,68 @@ struct LeafPos {
     remaining: u32,
 }
 
-/// Streams the tuples of one relation: `(row, existence probability)` for
-/// probabilistic relations, `(row, None)` for deterministic ones.
+/// Streams the tuples of a list of leaves: `(row, existence probability)`
+/// for probabilistic relations, `(row, None)` for deterministic ones.
 #[derive(Debug)]
-pub struct TupleCursor<P: Borrow<Pager>> {
-    pages: PageCursor<P>,
+pub struct TupleCursor {
+    pager: Arc<Pager>,
+    leaves: std::vec::IntoIter<(u64, u32)>,
     schema: Schema,
     probabilistic: bool,
     current: Option<LeafPos>,
 }
 
-impl<P: Borrow<Pager>> TupleCursor<P> {
-    /// A tuple cursor over the relation rooted at `root`.
+impl TupleCursor {
+    /// A tuple cursor over `leaves` — `(page id, tuple count)` pairs as
+    /// the interior entries record them, in tuple order.
     pub fn new(
-        pager: P,
-        root: u64,
+        pager: Arc<Pager>,
+        leaves: Vec<(u64, u32)>,
         schema: Schema,
         probabilistic: bool,
-    ) -> Result<Self, StorageError> {
-        Ok(TupleCursor {
-            pages: PageCursor::new(pager, root)?,
+    ) -> Self {
+        TupleCursor {
+            pager,
+            leaves: leaves.into_iter(),
             schema,
             probabilistic,
             current: None,
-        })
+        }
     }
 
-    /// The schema tuples are decoded against.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
+    /// Fetches the next leaf, checking its kind and that it holds the
+    /// tuple count its interior entry records.
+    fn next_leaf(&mut self) -> Result<Option<LeafPos>, StorageError> {
+        let Some((id, count)) = self.leaves.next() else {
+            return Ok(None);
+        };
+        let page = self.pager.get(id)?;
+        let corrupt = |reason: String| Err(StorageError::CorruptPage { page: id, reason });
+        if page.kind() != PageKind::Leaf {
+            return corrupt(format!("expected a leaf page, found {:?}", page.kind()));
+        }
+        if page.count() != count {
+            return corrupt(format!(
+                "interior entry records {count} tuples, leaf holds {}",
+                page.count()
+            ));
+        }
+        Ok(Some(LeafPos {
+            id,
+            remaining: count,
+            page,
+            pos: 0,
+        }))
     }
 
-    /// Whether tuples carry an existence probability.
-    pub fn probabilistic(&self) -> bool {
-        self.probabilistic
-    }
-
-    /// Decodes the next tuple, or `None` at end of relation.
+    /// Decodes the next tuple, or `None` once every leaf is read.
     pub fn next_tuple(&mut self) -> Result<Option<DecodedTuple>, StorageError> {
         let arity = self.schema.arity();
-        let probabilistic = self.probabilistic;
         loop {
             if let Some(cur) = &mut self.current {
                 if cur.remaining > 0 {
-                    let page = Arc::clone(&cur.page);
-                    let mut r = Reader::new(&page.payload()[cur.pos..], cur.id);
-                    let prob = if probabilistic {
+                    let mut r = Reader::new(&cur.page.payload()[cur.pos..], cur.id);
+                    let prob = if self.probabilistic {
                         Some(r.take_f64()?)
                     } else {
                         None
@@ -143,18 +103,10 @@ impl<P: Borrow<Pager>> TupleCursor<P> {
                     cur.remaining -= 1;
                     return Ok(Some((row, prob)));
                 }
-                self.current = None;
             }
-            match self.pages.next_leaf()? {
-                Some((id, page)) => {
-                    self.current = Some(LeafPos {
-                        id,
-                        remaining: page.count(),
-                        page,
-                        pos: 0,
-                    });
-                }
-                None => return Ok(None),
+            self.current = self.next_leaf()?;
+            if self.current.is_none() {
+                return Ok(None);
             }
         }
     }

@@ -10,8 +10,11 @@
 //! * `tspdb.db` — fixed-size pages ([`page::PAGE_SIZE`] bytes): **two
 //!   meta slots** (pages 0 and 1, the valid one with the higher epoch
 //!   wins), a catalog chain (one entry per relation), and per relation an
-//!   interior chain listing its leaf pages and the leaves holding encoded
-//!   tuples. Checkpoints are **incremental and shadow-paged**
+//!   interior chain listing its leaf pages — each entry with the leaf's
+//!   tuple count and zone map — and the leaves holding encoded tuples.
+//!   Lazy scans ([`Storage::scan_stream`]) skip every leaf whose zone map
+//!   proves the query's restriction empties it. Checkpoints are
+//!   **incremental and shadow-paged**
 //!   ([`Storage::checkpoint_incremental`]): new pages go only to slots
 //!   unreachable from the live meta, and one meta-slot write is the
 //!   atomic commit point — which is what lets the page cache hold
@@ -51,7 +54,9 @@ pub mod page;
 pub mod pager;
 pub mod wal;
 
-pub use checkpoint::{CheckpointCrashPoint, CheckpointSource, CheckpointStats, RelationLayout};
+pub use checkpoint::{
+    CheckpointCrashPoint, CheckpointSource, CheckpointStats, LeafEntry, RelationLayout,
+};
 pub use error::StorageError;
 pub use pager::{Pager, PagerStats, DEFAULT_CACHE_PAGES};
 pub use wal::{CrashPoint, JournalOp};
@@ -66,15 +71,17 @@ use std::io::{Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use tspdb_probdb::{DbError, ProbTable, Relation, ScanSource, Schema, Table, TupleStream, Value};
+use tspdb_probdb::{
+    DbError, PhysicalPlan, ProbTable, Relation, ScanSource, Schema, Table, TupleStream, Value,
+};
 
 /// Database file magic.
 pub(crate) const DB_MAGIC: &[u8; 8] = b"TSPDB-DB";
 
-/// Database file format version (v2: dual meta slots + shadow-paged
-/// incremental checkpoints; v1 files were rewritten wholesale and are not
-/// read by this build).
-pub(crate) const DB_VERSION: u32 = 2;
+/// Database file format version (v3: interior entries carry each leaf's
+/// tuple count and zone map; v2 added dual meta slots + shadow-paged
+/// incremental checkpoints). Older files are not read by this build.
+pub(crate) const DB_VERSION: u32 = 3;
 
 /// Number of meta slots at the head of the database file.
 const META_SLOTS: u64 = 2;
@@ -126,7 +133,8 @@ pub struct CatalogEntry {
     pub schema: Schema,
     /// Interior-chain root page id (0 = no tuples).
     pub root: u64,
-    /// Tuple count, recorded for integrity checking on scan.
+    /// Tuple count; must equal the sum of the interior entries' counts
+    /// (checked when the layout is loaded).
     pub rows: u64,
 }
 
@@ -174,8 +182,8 @@ pub struct Storage {
     db_write: Mutex<File>,
     directory: RwLock<BTreeMap<String, CatalogEntry>>,
     /// Page layout of each cataloged relation — the reachable set the
-    /// shadow allocator must not touch, and the leaf-chain prefix appends
-    /// reuse.
+    /// shadow allocator must not touch, the leaf-entry prefix appends
+    /// reuse, and the zone maps lazy scans prune by.
     layouts: RwLock<BTreeMap<String, RelationLayout>>,
     /// Page ids of the live catalog chain (reachable, like the layouts).
     catalog_pages: Mutex<Vec<u64>>,
@@ -461,7 +469,7 @@ impl Storage {
                     }
                     let (_, schema, probabilistic, len) = relation_parts(rel);
                     let new_leaves = checkpoint::encode_leaves(rel, *from)?;
-                    let mut leaf_ids: Vec<u64> = if *from > 0 {
+                    let mut leaves: Vec<LeafEntry> = if *from > 0 {
                         old_layouts
                             .get(name)
                             .map(|l| l.leaves.clone())
@@ -469,12 +477,16 @@ impl Storage {
                     } else {
                         Vec::new()
                     };
-                    for leaf in new_leaves {
+                    for (leaf, zone) in new_leaves {
                         let id = alloc.alloc();
-                        leaf_ids.push(id);
+                        leaves.push(LeafEntry {
+                            id,
+                            count: leaf.count(),
+                            zone,
+                        });
                         writes.push((id, leaf));
                     }
-                    let mut interiors = checkpoint::build_interior_pages(&leaf_ids);
+                    let mut interiors = checkpoint::build_interior_pages(schema, &leaves)?;
                     let interior_ids: Vec<u64> = interiors.iter().map(|_| alloc.alloc()).collect();
                     for i in 0..interiors.len().saturating_sub(1) {
                         interiors[i].set_next(interior_ids[i + 1]);
@@ -496,7 +508,7 @@ impl Storage {
                     new_layouts.insert(
                         name.clone(),
                         RelationLayout {
-                            leaves: leaf_ids,
+                            leaves,
                             interior: interior_ids,
                         },
                     );
@@ -578,8 +590,15 @@ impl Storage {
         let mut invalidated: Vec<u64> = writes.iter().map(|(id, _)| *id).collect();
         invalidated.push(slot);
         self.pager.invalidate(&invalidated);
-        *self.directory.write().unwrap_or_else(|e| e.into_inner()) = new_dir;
-        *self.layouts.write().unwrap_or_else(|e| e.into_inner()) = new_layouts;
+        // Both maps swap under both write locks (taken in the order
+        // readers take them), so no scan pairs an entry with a stale
+        // layout.
+        {
+            let mut dir = self.directory.write().unwrap_or_else(|e| e.into_inner());
+            let mut layouts = self.layouts.write().unwrap_or_else(|e| e.into_inner());
+            *dir = new_dir;
+            *layouts = new_layouts;
+        }
         *self.catalog_pages.lock().unwrap_or_else(|e| e.into_inner()) = cat_ids;
         self.epoch.store(new_epoch, Ordering::Relaxed);
         stats.pages_written = writes.len() as u64 + 1; // + the meta slot
@@ -591,22 +610,48 @@ impl Storage {
     /// Opens a lazy, leaf-at-a-time stream over one on-disk relation, or
     /// `None` if the catalog has no such relation. Pages fault in one
     /// leaf at a time through the shared cache — the relation is never
-    /// materialised whole.
-    pub fn scan_stream(&self, name: &str) -> Result<Option<RelationStream>, StorageError> {
-        let entry = {
-            let dir = self.directory.read().unwrap_or_else(|e| e.into_inner());
-            match dir.get(name) {
-                Some(e) => e.clone(),
-                None => return Ok(None),
-            }
-        };
-        RelationStream::new(Arc::clone(&self.pager), entry).map(Some)
+    /// materialised whole. The leaves come from the in-memory layout, so
+    /// opening a stream reads no page.
+    ///
+    /// With a `restriction`, a probabilistic relation's stream skips
+    /// every leaf whose zone map makes
+    /// [`Zone::is_prunable`](tspdb_probdb::Zone::is_prunable) hold — the
+    /// rule resident shards are pruned by. The caller still applies the
+    /// restriction to every tuple it receives.
+    pub fn scan_stream(
+        &self,
+        name: &str,
+        restriction: Option<&PhysicalPlan>,
+    ) -> Option<RelationStream> {
+        let dir = self.directory.read().unwrap_or_else(|e| e.into_inner());
+        let entry = dir.get(name)?;
+        let layouts = self.layouts.read().unwrap_or_else(|e| e.into_inner());
+        let all = layouts.get(name).map_or(&[][..], |l| l.leaves.as_slice());
+        let leaves: Vec<(u64, u32)> = all
+            .iter()
+            .filter(|leaf| match restriction {
+                Some(plan) if entry.probabilistic => !leaf.zone.is_prunable(&entry.schema, plan),
+                _ => true,
+            })
+            .map(|leaf| (leaf.id, leaf.count))
+            .collect();
+        Some(RelationStream {
+            leaves_total: all.len(),
+            leaves_read: leaves.len(),
+            cursor: TupleCursor::new(
+                Arc::clone(&self.pager),
+                leaves,
+                entry.schema.clone(),
+                entry.probabilistic,
+            ),
+            entry: entry.clone(),
+        })
     }
 
     /// Materialises one relation from disk (through the page cache), or
     /// `None` if the catalog has no such relation.
     pub fn scan(&self, name: &str) -> Result<Option<Relation>, StorageError> {
-        let Some(mut stream) = self.scan_stream(name)? else {
+        let Some(mut stream) = self.scan_stream(name, None) else {
             return Ok(None);
         };
         let entry = stream.entry().clone();
@@ -643,6 +688,16 @@ impl Storage {
     /// Catalog entry of one relation, if present.
     pub fn entry(&self, name: &str) -> Option<CatalogEntry> {
         self.directory
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(name)
+            .cloned()
+    }
+
+    /// Page layout of one relation — its leaf entries with their counts
+    /// and zone maps, and its interior pages — if present.
+    pub fn layout(&self, name: &str) -> Option<RelationLayout> {
+        self.layouts
             .read()
             .unwrap_or_else(|e| e.into_inner())
             .get(name)
@@ -686,59 +741,26 @@ impl Storage {
 }
 
 /// A lazy tuple stream over one on-disk relation: decodes one leaf at a
-/// time through the shared page cache, verifying the catalog's recorded
-/// row count at exhaustion. Owns its pager handle, so it can outlive the
-/// [`Storage`] call that opened it.
+/// time through the shared page cache, checking each leaf against the
+/// tuple count its interior entry records. Owns its pager handle, so it
+/// can outlive the [`Storage`] call that opened it.
 #[derive(Debug)]
 pub struct RelationStream {
-    cursor: TupleCursor<Arc<Pager>>,
+    cursor: TupleCursor,
     entry: CatalogEntry,
-    seen: u64,
-    done: bool,
+    leaves_read: usize,
+    leaves_total: usize,
 }
 
 impl RelationStream {
-    fn new(pager: Arc<Pager>, entry: CatalogEntry) -> Result<RelationStream, StorageError> {
-        let cursor =
-            TupleCursor::new(pager, entry.root, entry.schema.clone(), entry.probabilistic)?;
-        Ok(RelationStream {
-            cursor,
-            entry,
-            seen: 0,
-            done: false,
-        })
-    }
-
     /// The streamed relation's catalog entry.
     pub fn entry(&self) -> &CatalogEntry {
         &self.entry
     }
 
-    /// Decodes the next tuple, or `None` at end of relation — at which
-    /// point the tuples seen must match the catalog's recorded row count.
+    /// Decodes the next tuple, or `None` once every unpruned leaf is read.
     pub fn next_tuple(&mut self) -> Result<Option<DecodedTuple>, StorageError> {
-        if self.done {
-            return Ok(None);
-        }
-        match self.cursor.next_tuple()? {
-            Some(t) => {
-                self.seen += 1;
-                Ok(Some(t))
-            }
-            None => {
-                self.done = true;
-                if self.seen != self.entry.rows {
-                    return Err(StorageError::CorruptPage {
-                        page: self.entry.root,
-                        reason: format!(
-                            "catalog records {} rows, leaves hold {}",
-                            self.entry.rows, self.seen
-                        ),
-                    });
-                }
-                Ok(None)
-            }
-        }
+        self.cursor.next_tuple()
     }
 }
 
@@ -754,6 +776,10 @@ impl TupleStream for RelationStream {
     fn next_tuple(&mut self) -> Result<Option<(Vec<Value>, Option<f64>)>, DbError> {
         RelationStream::next_tuple(self).map_err(DbError::from)
     }
+
+    fn leaves(&self) -> Option<(usize, usize)> {
+        Some((self.leaves_read, self.leaves_total))
+    }
 }
 
 impl ScanSource for Storage {
@@ -761,8 +787,13 @@ impl ScanSource for Storage {
         Storage::scan(self, name).map_err(DbError::from)
     }
 
-    fn scan_stream(&self, name: &str) -> Result<Option<Box<dyn TupleStream>>, DbError> {
-        Ok(Storage::scan_stream(self, name)?.map(|s| Box::new(s) as Box<dyn TupleStream>))
+    fn scan_stream(
+        &self,
+        name: &str,
+        restriction: Option<&PhysicalPlan>,
+    ) -> Result<Option<Box<dyn TupleStream>>, DbError> {
+        Ok(Storage::scan_stream(self, name, restriction)
+            .map(|s| Box::new(s) as Box<dyn TupleStream>))
     }
 
     fn names(&self) -> Vec<String> {
@@ -841,11 +872,12 @@ fn read_meta_slot(pager: &Pager, slot: u64) -> Result<MetaInfo, StorageError> {
     })
 }
 
-/// Walks one relation's interior chain, recording its page layout (leaves
-/// are located, not read — scans fault them in lazily).
-fn read_layout(pager: &Pager, root: u64) -> Result<RelationLayout, StorageError> {
+/// Walks one relation's interior chain, decoding its leaf entries (leaves
+/// are located, not read — scans fault them in lazily), and checks that
+/// the entries' tuple counts add up to the catalog's row count.
+fn read_layout(pager: &Pager, entry: &CatalogEntry) -> Result<RelationLayout, StorageError> {
     let mut layout = RelationLayout::default();
-    let mut id = root;
+    let mut id = entry.root;
     while id != 0 {
         let page = pager.get(id)?;
         if page.kind() != PageKind::Interior {
@@ -855,11 +887,18 @@ fn read_layout(pager: &Pager, root: u64) -> Result<RelationLayout, StorageError>
             });
         }
         layout.interior.push(id);
-        let mut r = Reader::new(page.payload(), id);
-        for _ in 0..page.count() {
-            layout.leaves.push(r.take_u64()?);
-        }
+        checkpoint::read_interior_entries(&page, id, &entry.schema, &mut layout.leaves)?;
         id = page.next();
+    }
+    let held: u64 = layout.leaves.iter().map(|l| u64::from(l.count)).sum();
+    if held != entry.rows {
+        return Err(StorageError::CorruptPage {
+            page: entry.root,
+            reason: format!(
+                "catalog records {} rows, interior entries hold {held}",
+                entry.rows
+            ),
+        });
     }
     Ok(layout)
 }
@@ -943,7 +982,7 @@ fn load_db_file(path: &Path, cache_pages: usize) -> Result<LoadedDb, StorageErro
     }
     let mut layouts = BTreeMap::new();
     for (name, entry) in &directory {
-        layouts.insert(name.clone(), read_layout(&pager, entry.root)?);
+        layouts.insert(name.clone(), read_layout(&pager, entry)?);
     }
     Ok(LoadedDb {
         pager,
@@ -1301,7 +1340,7 @@ mod tests {
             .checkpoint(&[Relation::Probabilistic(table.clone())])
             .unwrap();
 
-        let mut stream = storage.scan_stream("pv").unwrap().expect("pv on disk");
+        let mut stream = storage.scan_stream("pv", None).expect("pv on disk");
         assert!(stream.entry().probabilistic);
         let mut n = 0usize;
         while let Some((row, prob)) = stream.next_tuple().unwrap() {
@@ -1311,7 +1350,38 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 500);
-        assert!(storage.scan_stream("nope").unwrap().is_none());
+        assert!(storage.scan_stream("nope", None).is_none());
+    }
+
+    #[test]
+    fn leaf_holding_other_than_its_entry_count_is_reported() {
+        let dir = TempDir::new();
+        let (storage, _) = Storage::open(dir.path(), StorageOptions::default()).unwrap();
+        storage
+            .checkpoint(&[Relation::Probabilistic(sample_prob_table("pv", 500))])
+            .unwrap();
+        let leaf = storage.layout("pv").unwrap().leaves[1].id;
+        drop(storage);
+
+        // Re-seal the leaf with one tuple fewer: the checksum holds, the
+        // interior entries still add up to the catalog's row count, but
+        // the leaf no longer matches its own entry.
+        let path = dir.path().join(DB_FILE);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = leaf as usize * PAGE_SIZE;
+        let mut page = page::Page::from_image(leaf, &bytes[at..at + PAGE_SIZE]).unwrap();
+        page.set_count(page.count() - 1);
+        bytes[at..at + PAGE_SIZE].copy_from_slice(page.sealed_image());
+        std::fs::write(&path, &bytes).unwrap();
+
+        let (storage, _) = Storage::open(dir.path(), StorageOptions::default()).unwrap();
+        match storage.scan("pv") {
+            Err(StorageError::CorruptPage { page, reason }) => {
+                assert_eq!(page, leaf);
+                assert!(reason.contains("interior entry records"), "{reason}");
+            }
+            other => panic!("expected a leaf-count error, got {other:?}"),
+        }
     }
 
     #[test]

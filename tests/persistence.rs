@@ -148,32 +148,121 @@ fn wal_crash_points_recover_exactly_the_committed_prefix() {
     assert_eq!(row_count(&reopen(&dir), "t"), 2);
 }
 
+/// A fingerprint of a query's outcome, errors included: resident and
+/// disk-backed execution must agree on *which* error a query raises too.
+fn outcome(engine: &SharedEngine, sql: &str) -> String {
+    match engine.query(sql) {
+        Ok(out) => fingerprint(&out),
+        Err(e) => format!("error: {e}"),
+    }
+}
+
+/// An Ω-view of 40 cells per timestamp over 300 readings: about 10k
+/// tuples, over a hundred leaves on disk.
+fn build_wide_view(engine: &SharedEngine) {
+    let series = TemperatureGenerator::default().generate(300);
+    engine.load_series("raw_values", "r", &series).unwrap();
+    engine
+        .execute("CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.5, n=40 FROM raw_values")
+        .unwrap();
+}
+
+/// `(min t, max t)` of every leaf of the on-disk `pv`, in leaf order.
+fn leaf_time_bounds(engine: &SharedEngine) -> Vec<(i64, i64)> {
+    let layout = engine.storage().unwrap().layout("pv").expect("pv on disk");
+    layout
+        .leaves
+        .iter()
+        .map(|leaf| {
+            let t = leaf.zone.column(0).expect("t is numeric");
+            (t.min as i64, t.max as i64)
+        })
+        .collect()
+}
+
+/// The `k` of `EXPLAIN`'s "k of n leaves after pruning" note.
+fn explained_leaves(engine: &SharedEngine, sql: &str) -> (usize, usize) {
+    let report = fingerprint(&engine.query(&format!("EXPLAIN {sql}")).unwrap());
+    let note = report
+        .split(", ")
+        .find(|part| part.contains(" leaves after pruning"))
+        .unwrap_or_else(|| panic!("EXPLAIN must report leaf pruning: {report}"));
+    let mut words = note.split_whitespace();
+    let k = words.next().unwrap().parse().unwrap();
+    assert_eq!(words.next(), Some("of"));
+    let n = words.next().unwrap().parse().unwrap();
+    (k, n)
+}
+
 #[test]
 fn disk_backed_scans_are_bit_identical_to_resident_ones() {
     let dir = TempDir::new();
     let engine = reopen(&dir);
-    let series = TemperatureGenerator::default().generate(150);
-    engine.load_series("raw_values", "r", &series).unwrap();
-    engine
-        .execute("CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.5, n=6 FROM raw_values")
-        .unwrap();
+    build_wide_view(&engine);
+    engine.checkpoint().unwrap();
+    let leaves = leaf_time_bounds(&engine);
+    assert!(leaves.len() >= 50, "only {} leaves", leaves.len());
+    let (first, last) = (leaves[0].0, leaves[leaves.len() - 1].1);
+    let mid = leaves.len() / 2;
+    let (lo, hi) = leaves[mid];
+    let (lo2, hi2) = leaves[mid + 7];
 
     // Every statement shape, including Monte-Carlo with a pinned seed and
     // the synopsis strategy — the strategies that would expose any drift
-    // in tuple bits or ordering.
-    let queries = [
-        "SELECT * FROM raw_values ORDER BY r DESC LIMIT 20",
-        "SELECT * FROM pv WHERE prob >= 0.1 ORDER BY prob DESC",
-        "SELECT t, lambda FROM pv THRESHOLD 0.05",
-        "SELECT COUNT(*) FROM pv GROUP BY WINDOW(t, 25)",
-        "SELECT * FROM pv WITH WORLDS 500 SEED 42",
-        "SELECT COUNT(*), SUM(lambda) FROM pv HAVING COUNT(*) >= 2 WITH WORLDS 400 SEED 7",
-        "SELECT COUNT(*) FROM pv WITH SYNOPSIS",
+    // in tuple bits or ordering — then ranged predicates that prune every
+    // leaf, none, and exactly the leaves at a boundary literal.
+    let queries = vec![
+        "SELECT * FROM raw_values ORDER BY r DESC LIMIT 20".to_string(),
+        "SELECT * FROM pv WHERE prob >= 0.1 ORDER BY prob DESC".to_string(),
+        "SELECT t, lambda FROM pv THRESHOLD 0.05".to_string(),
+        "SELECT COUNT(*) FROM pv GROUP BY WINDOW(t, 25)".to_string(),
+        "SELECT * FROM pv WITH WORLDS 500 SEED 42".to_string(),
+        "SELECT COUNT(*), SUM(lambda) FROM pv HAVING COUNT(*) >= 2 WITH WORLDS 400 SEED 7"
+            .to_string(),
+        "SELECT COUNT(*) FROM pv WITH SYNOPSIS".to_string(),
+        // Prune every leaf / none.
+        format!("SELECT COUNT(*) FROM pv WHERE t > {last}"),
+        format!("SELECT COUNT(*) FROM pv WHERE t < {first}"),
+        "SELECT COUNT(*) FROM pv WHERE prob > 1.0".to_string(),
+        format!("SELECT COUNT(*), SUM(lambda) FROM pv WHERE t >= {first}"),
+        format!("SELECT * FROM pv WHERE t <= {last} ORDER BY prob DESC LIMIT 30"),
+        // Literals equal to a leaf's min or max keep that leaf.
+        format!("SELECT COUNT(*) FROM pv WHERE t = {lo}"),
+        format!("SELECT COUNT(*) FROM pv WHERE t = {hi}"),
+        format!("SELECT * FROM pv WHERE t >= {lo} AND t <= {hi}"),
+        format!("SELECT COUNT(*) FROM pv WHERE t > {hi} AND t < {lo2}"),
+        format!("SELECT COUNT(*) FROM pv WHERE t >= {hi} AND t <= {lo2}"),
+        format!("SELECT COUNT(*) FROM pv WHERE t <> {lo}"),
+        // FLOAT literals against the INT time column, prob and THRESHOLD.
+        format!("SELECT COUNT(*) FROM pv WHERE t >= {lo}.5 AND t < {hi2}.0"),
+        format!("SELECT COUNT(*) FROM pv WHERE t > {}.999", hi - 1),
+        format!("SELECT COUNT(*) FROM pv WHERE t >= {lo} AND prob >= 0.05"),
+        format!("SELECT * FROM pv WHERE t >= {lo} AND t < {hi2} THRESHOLD 0.2"),
+        format!("SELECT * FROM pv WHERE t >= {lo} THRESHOLD 0.2 TOP 5"),
+        "SELECT COUNT(*) FROM pv THRESHOLD 0.999".to_string(),
+        // An unresolvable column before a prunable comparison errors; after
+        // one, rows are rejected before it is ever evaluated.
+        format!("SELECT COUNT(*) FROM pv WHERE bogus > 1 AND t > {last}"),
+        format!("SELECT COUNT(*) FROM pv WHERE t > {last} AND bogus > 1"),
+        format!("SELECT COUNT(*) FROM pv WHERE t > {hi} AND bogus > 1"),
+        format!("SELECT COUNT(*) FROM pv WHERE t > {last} AND bogus > 1 THRESHOLD 0.5"),
+        // Ranged Monte-Carlo: sampling follows the restricted tuples.
+        format!("SELECT COUNT(*) FROM pv WHERE t >= {lo} AND t < {hi2} WITH WORLDS 300 SEED 9"),
+        format!("SELECT lambda FROM pv WHERE t >= {lo} AND t <= {hi} WITH WORLDS 200 SEED 3"),
+        format!("SELECT * FROM pv WHERE t >= {lo} THRESHOLD 0.1 TOP 8 WITH WORLDS 100 SEED 5"),
+        format!("SELECT bogus FROM pv WHERE nope > 1 AND t > {last} WITH WORLDS 50 SEED 1"),
+        format!("SELECT * FROM raw_values WHERE t >= {lo} AND t <= {hi}"),
+        // On a deterministic table `prob` is an ordinary (here unknown)
+        // column, so it errors before the time comparison could prune.
+        format!("SELECT * FROM raw_values WHERE prob > 0.5 AND t > {last}"),
+        "SELECT * FROM raw_values WITH WORLDS 10 SEED 1".to_string(),
     ];
-    let resident: Vec<String> = queries
-        .iter()
-        .map(|q| fingerprint(&engine.query(q).unwrap()))
-        .collect();
+    let resident: Vec<String> = queries.iter().map(|q| outcome(&engine, q)).collect();
+    // Exactly the five probes written to fail do: two `bogus`
+    // comparisons that some row reaches, the WITH WORLDS projection of
+    // `bogus`, `prob` on a deterministic table, and WITH WORLDS over one.
+    let errors: Vec<&String> = resident.iter().filter(|o| o.starts_with("error")).collect();
+    assert_eq!(errors.len(), 5, "{errors:?}");
 
     // Evict the view: its scans now come from disk through the page
     // cache, behind the same scan leaf. (Evicting checkpoints first, and
@@ -187,24 +276,92 @@ fn disk_backed_scans_are_bit_identical_to_resident_ones() {
         "explain must show the disk-backed scan: {report}"
     );
     for (q, expected) in queries.iter().zip(&resident) {
-        let got = fingerprint(&engine.query(q).unwrap());
-        assert_eq!(&got, expected, "evicted scan differs for {q}");
+        assert_eq!(
+            &outcome(&engine, q),
+            expected,
+            "evicted scan differs for {q}"
+        );
+    }
+
+    // EXPLAIN reports the pruning the zone maps allow, from the layout.
+    let n = leaves.len();
+    let touching = |a: i64, b: i64| leaves.iter().filter(|&&(x, y)| x <= b && y >= a).count();
+    for (sql, want) in [
+        (format!("SELECT COUNT(*) FROM pv WHERE t > {last}"), 0),
+        (format!("SELECT COUNT(*) FROM pv WHERE t >= {first}"), n),
+        ("SELECT COUNT(*) FROM pv".to_string(), n),
+        (
+            format!("SELECT COUNT(*) FROM pv WHERE t = {lo}"),
+            touching(lo, lo),
+        ),
+        (
+            format!("SELECT COUNT(*) FROM pv WHERE t = {hi}"),
+            touching(hi, hi),
+        ),
+        (
+            format!("SELECT COUNT(*) FROM pv WHERE t >= {lo} AND t <= {hi2}"),
+            touching(lo, hi2),
+        ),
+        // A synopsis that answers from the whole relation reads it all.
+        ("SELECT COUNT(*) FROM pv WITH SYNOPSIS".to_string(), n),
+    ] {
+        assert_eq!(explained_leaves(&engine, &sql), (want, n), "{sql}");
     }
 
     // Cold reboot: pages come from a fresh file read, then the cache.
     drop(engine);
     let engine = reopen(&dir);
     for (q, expected) in queries.iter().zip(&resident) {
-        let got = fingerprint(&engine.query(q).unwrap());
-        assert_eq!(&got, expected, "post-reboot scan differs for {q}");
+        assert_eq!(
+            &outcome(&engine, q),
+            expected,
+            "post-reboot scan differs for {q}"
+        );
     }
 
     // And once more evicted after the reboot — cold disk read path.
     engine.evict_to_disk("pv").unwrap();
     for (q, expected) in queries.iter().zip(&resident) {
-        let got = fingerprint(&engine.query(q).unwrap());
-        assert_eq!(&got, expected, "post-reboot evicted scan differs for {q}");
+        assert_eq!(
+            &outcome(&engine, q),
+            expected,
+            "post-reboot evicted scan differs for {q}"
+        );
     }
+}
+
+/// Zone maps make a ranged query over an evicted view read only the
+/// leaves its `WHERE` can match; an unfiltered one requests every leaf,
+/// and no interior page, through the page cache.
+#[test]
+fn ranged_scans_request_only_the_leaves_their_where_can_match() {
+    let dir = TempDir::new();
+    let engine = reopen(&dir);
+    build_wide_view(&engine);
+    engine.evict_to_disk("pv").unwrap();
+    let leaves = leaf_time_bounds(&engine);
+    let n = leaves.len() as u64;
+    let (first, last) = (leaves[0].0, leaves[leaves.len() - 1].1);
+    let storage = engine.storage().unwrap();
+    let requests = |sql: &str| {
+        let before = storage.cache_stats();
+        engine.query(sql).unwrap();
+        let after = storage.cache_stats();
+        (after.hits + after.misses) - (before.hits + before.misses)
+    };
+
+    assert_eq!(requests("SELECT COUNT(*) FROM pv"), n);
+    let span = last - first;
+    let a = first + span / 2;
+    let b = a + span / 20;
+    let ranged = requests(&format!(
+        "SELECT COUNT(*) FROM pv WHERE t >= {a} AND t < {b}"
+    ));
+    assert!(
+        ranged * 10 <= n,
+        "a 5% range requested {ranged} of {n} leaves"
+    );
+    assert!(ranged > 0, "the range holds tuples");
 }
 
 #[test]
@@ -362,6 +519,126 @@ fn torn_checkpointed_page_is_reported_with_its_page_id() {
     assert!(
         msg.contains(&format!("page {page_id}")) && msg.contains("corrupt"),
         "error must name the corrupt page: {msg}"
+    );
+}
+
+/// Byte offset of page `id` in the database file.
+fn page_offset(id: u64) -> usize {
+    id as usize * tspdb::core::storage::page::PAGE_SIZE
+}
+
+/// Re-seals a page image edited in place: recomputes its CRC-32 over the
+/// image with the checksum field zeroed, as the page codec does.
+fn reseal(image: &mut [u8]) {
+    image[4..8].fill(0);
+    let crc = tspdb::core::storage::codec::crc32(image);
+    image[4..8].copy_from_slice(&crc.to_be_bytes());
+}
+
+/// A leaf that rots inside the range a query reads is still reported by
+/// its checksum, page id included; zone maps skip only leaves the range
+/// cannot match, so a query elsewhere never touches it.
+#[test]
+fn corrupt_leaf_inside_the_queried_range_is_reported() {
+    let dir = TempDir::new();
+    let engine = reopen(&dir);
+    build_wide_view(&engine);
+    engine.evict_to_disk("pv").unwrap();
+    let layout = engine.storage().unwrap().layout("pv").unwrap();
+    let leaves = leaf_time_bounds(&engine);
+    let mid = leaves.len() / 2;
+    let victim = layout.leaves[mid].id;
+    {
+        use std::io::{Seek, SeekFrom, Write};
+        let mut file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(dir.path().join(tspdb::core::storage::DB_FILE))
+            .unwrap();
+        file.seek(SeekFrom::Start(page_offset(victim) as u64 + 100))
+            .unwrap();
+        file.write_all(&[0xA5; 8]).unwrap();
+        file.sync_all().unwrap();
+    }
+
+    let (lo, hi) = leaves[mid];
+    let err = engine
+        .query(&format!(
+            "SELECT COUNT(*) FROM pv WHERE t >= {lo} AND t <= {hi}"
+        ))
+        .expect_err("the corrupt leaf lies inside the range");
+    let msg = format!("{err}");
+    assert!(
+        msg.contains(&format!("page {victim}")) && msg.contains("corrupt"),
+        "error must name the corrupt page: {msg}"
+    );
+    let (first_lo, _) = leaves[0];
+    let (_, first_hi) = leaves[1];
+    assert!(first_hi < lo, "the first leaves lie well before the victim");
+    engine
+        .query(&format!(
+            "SELECT COUNT(*) FROM pv WHERE t >= {first_lo} AND t < {first_hi}"
+        ))
+        .expect("a range clear of the corrupt leaf never reads it");
+}
+
+/// An interior entry whose tuple count no longer adds up to the
+/// catalog's row count fails the open, even with a valid checksum.
+#[test]
+fn tampered_interior_count_fails_the_row_count_check() {
+    let dir = TempDir::new();
+    let interior = {
+        let engine = reopen(&dir);
+        build_wide_view(&engine);
+        engine.checkpoint().unwrap();
+        engine.storage().unwrap().layout("pv").unwrap().interior
+    };
+    let db_file = dir.path().join(tspdb::core::storage::DB_FILE);
+    let mut bytes = std::fs::read(&db_file).unwrap();
+    let page = &mut bytes[page_offset(interior[0])..page_offset(interior[0] + 1)];
+    // First entry: leaf id (8 bytes), then its tuple count (u32, BE).
+    let count_at = tspdb::core::storage::page::HEADER_LEN + 8;
+    let count = u32::from_be_bytes(page[count_at..count_at + 4].try_into().unwrap());
+    page[count_at..count_at + 4].copy_from_slice(&(count + 1).to_be_bytes());
+    reseal(page);
+    std::fs::write(&db_file, &bytes).unwrap();
+
+    let err = SharedEngine::open_persistent(dir.path(), config())
+        .expect_err("the open must refuse the inconsistent layout");
+    let msg = format!("{err}");
+    assert!(
+        msg.contains("catalog records") && msg.contains("interior entries hold"),
+        "error must name the row-count mismatch: {msg}"
+    );
+}
+
+/// A v2 database file (interior entries without counts or zone maps) is
+/// refused with the format-version message, not misread.
+#[test]
+fn v2_database_file_is_refused_with_the_version_message() {
+    let dir = TempDir::new();
+    {
+        let engine = reopen(&dir);
+        engine.execute("CREATE TABLE t (x INT)").unwrap();
+        engine.execute("INSERT INTO t VALUES (1)").unwrap();
+        engine.checkpoint().unwrap();
+    }
+    let db_file = dir.path().join(tspdb::core::storage::DB_FILE);
+    let mut bytes = std::fs::read(&db_file).unwrap();
+    // Both meta slots: payload = magic (8 bytes), then the version (u32).
+    let version_at = tspdb::core::storage::page::HEADER_LEN + 8;
+    for slot in 0..2 {
+        let page = &mut bytes[page_offset(slot)..page_offset(slot + 1)];
+        page[version_at..version_at + 4].copy_from_slice(&2u32.to_be_bytes());
+        reseal(page);
+    }
+    std::fs::write(&db_file, &bytes).unwrap();
+
+    let err =
+        SharedEngine::open_persistent(dir.path(), config()).expect_err("a v2 file must be refused");
+    let msg = format!("{err}");
+    assert!(
+        msg.contains("database format v2, this build reads v3"),
+        "error must give the format versions: {msg}"
     );
 }
 

@@ -18,8 +18,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tspdb_probdb::query::{select_prob, top_k};
 use tspdb_probdb::{
-    parse, CmpOp, ColumnType, Comparison, Database, Planner, ProbTable, RelationSynopses, Schema,
-    Statement, Value,
+    parse, CmpOp, ColumnType, Comparison, Database, Planner, ProbTable, ReadPlan, RelationSynopses,
+    Schema, Statement, Value,
 };
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -53,7 +53,10 @@ fn bench_select_paths(c: &mut Criterion) {
 
     // Full pipeline: tokenize, parse, plan, execute.
     group.bench_function("parse_plan_execute", |b| {
-        b.iter(|| std::hint::black_box(db.query(sql).unwrap()))
+        b.iter(|| {
+            let plan = ReadPlan::plan(parse(sql).unwrap()).unwrap();
+            std::hint::black_box(db.execute_read(&plan).unwrap())
+        })
     });
 
     // Plan once, execute many — the prepared-statement shape.
@@ -68,9 +71,9 @@ fn bench_select_paths(c: &mut Criterion) {
     // The shared plan cache: first call plans and caches, every later
     // call hits the raw-text key and skips parse + plan — the server's
     // hot path for repeated ad-hoc statements.
-    db.query_cached(sql).unwrap(); // warm the cache
+    db.query(sql).unwrap(); // warm the cache
     group.bench_function("cached_plan_execute", |b| {
-        b.iter(|| std::hint::black_box(db.query_cached(sql).unwrap()))
+        b.iter(|| std::hint::black_box(db.query(sql).unwrap()))
     });
 
     // The pre-planner shape: call the row operators directly.

@@ -14,6 +14,9 @@
 //! * [`SharedEngine`] shares one catalog behind an [`RwLock`]: `SELECT`s
 //!   take the read lock and run concurrently, only mutating statements
 //!   (loads, `INSERT`, `DROP`, view registration) take the write lock.
+//!   Every read runs through [`SharedEngine::execute_read`]: a resident
+//!   relation executes after the read lock is released, an on-disk one
+//!   streams under it.
 //!   Density-view *builds* — the expensive part of `CREATE VIEW … AS
 //!   DENSITY` — run under the read lock too, since building only reads the
 //!   source table; the write lock is held just long enough to register the
@@ -43,8 +46,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 use tspdb_probdb::{
-    CmpOp, Comparison, Database, DbError, DensityViewSpec, Planner, QueryOutput, Relation,
-    ScanSource, SelectStmt, Statement, Table, Value,
+    not_a_read, CmpOp, Comparison, Database, DbError, DensityViewSpec, QueryOutput, ReadPlan,
+    Relation, ScanSource, Statement, Table, TupleSource, Value,
 };
 use tspdb_storage::{CheckpointSource, JournalOp, Storage, StorageOptions};
 use tspdb_timeseries::TimeSeries;
@@ -451,62 +454,48 @@ impl SharedEngine {
         self.catalog.read().expect("catalog lock poisoned")
     }
 
-    /// Runs a read-only statement (`SELECT`) under the shared read lock.
-    /// Any number of threads can be inside this call at once.
+    /// Runs a read-only statement (`SELECT` or `EXPLAIN`), planned
+    /// through the catalog's shared plan cache: hot statements skip
+    /// parse+plan across *all* sessions. DDL bumps the catalog generation,
+    /// which invalidates cached plans (tuple-only appends bump a separate
+    /// data generation and leave plans standing). Any number of threads
+    /// can be inside this call at once.
     pub fn query(&self, sql: &str) -> Result<QueryOutput, CoreError> {
-        self.read().query(sql).map_err(CoreError::from)
+        let plan = self.read().plan_read(sql)?;
+        self.execute_read(&plan, None)
     }
 
-    /// [`SharedEngine::query`] through the catalog's shared plan cache:
-    /// hot statements skip parse+plan across *all* sessions. Semantics
-    /// are identical to [`SharedEngine::query`] — DDL bumps the catalog
-    /// generation, which invalidates cached plans (tuple-only appends
-    /// bump a separate data generation and leave plans standing).
+    /// The one read path, behind [`SharedEngine::query`], the wire
+    /// server's `Query` and `Execute`, and TAIL polling. `worlds_threads`
+    /// overrides the `WITH WORLDS` fork-join width for this read (`None`
+    /// uses the catalog setting; answers never depend on it).
     ///
-    /// This is the MVCC read path: the read lock is held only long enough
-    /// to resolve the plan and clone an immutable [`RelationSnapshot`]
-    /// (`Arc`s of the relation rung, synopses and shard layout); the
-    /// query then executes entirely outside the lock while appends land
-    /// new rungs next to it.
-    ///
-    /// [`RelationSnapshot`]: tspdb_probdb::RelationSnapshot
-    pub fn query_cached(&self, sql: &str) -> Result<QueryOutput, CoreError> {
-        let (planned, snap, threads) = {
-            let catalog = self.read();
-            let planned = match catalog.cached_plan(sql) {
-                Some(planned) => planned,
-                None => match tspdb_probdb::parse(sql)? {
-                    Statement::Select(sel) => catalog.plan_select_cached(sql, &sel)?,
-                    Statement::Explain(sel) => {
-                        return catalog.explain_select(&sel).map_err(CoreError::from)
-                    }
-                    other => return Err(CoreError::Db(DbError::ReadOnly(format!("{other:?}")))),
-                },
-            };
-            let snap = catalog.snapshot(&planned.physical.table)?;
-            (planned, snap, catalog.worlds_threads())
+    /// The read lock is held to resolve the relation to its tuple source.
+    /// A resident relation is an immutable snapshot (`Arc`s of the rung
+    /// and its shard layout), so the lock is released before the strategy
+    /// runs and appends land new rungs next to it. An on-disk relation is
+    /// a leaf stream borrowed from the catalog guard: it executes under
+    /// the lock, which keeps checkpoints from reusing the pages it reads.
+    pub fn execute_read(
+        &self,
+        plan: &ReadPlan,
+        worlds_threads: Option<usize>,
+    ) -> Result<QueryOutput, CoreError> {
+        let catalog = self.read();
+        let ReadPlan::Select(planned) = plan else {
+            return Ok(catalog.execute_read(plan)?);
         };
-        planned
-            .strategy_with_context(threads, snap.synopses, snap.shards)
-            .execute(&snap.relation, &planned.physical)
-            .map_err(CoreError::from)
-    }
-
-    /// Plans and executes one already-parsed `SELECT` against an immutable
-    /// relation snapshot, holding the read lock only for plan + snapshot —
-    /// the entry point standing (TAIL) queries re-run on every emission
-    /// without ever blocking the write path mid-scan.
-    pub fn query_select_snapshot(&self, sel: &SelectStmt) -> Result<QueryOutput, CoreError> {
-        let (planned, snap, threads) = {
-            let catalog = self.read();
-            let planned = Planner::plan(sel).map_err(CoreError::from)?;
-            let snap = catalog.snapshot(&planned.physical.table)?;
-            (planned, snap, catalog.worlds_threads())
+        let strategy = planned.strategy(catalog.exec_context(planned, worlds_threads));
+        let source = catalog.resolve(planned)?;
+        let out = if matches!(source, TupleSource::Stream(_)) {
+            strategy.execute(source, &planned.physical)
+        } else {
+            // Consuming the whole source ends its borrow of the guard.
+            let snapshot = source.into_resident(&planned.physical.table)?;
+            drop(catalog);
+            strategy.execute(TupleSource::Resident(snapshot), &planned.physical)
         };
-        planned
-            .strategy_with_context(threads, snap.synopses, snap.shards)
-            .execute(&snap.relation, &planned.physical)
-            .map_err(CoreError::from)
+        Ok(out?)
     }
 
     /// The catalog generation (bumped by every DDL/write; keys the plan
@@ -589,9 +578,7 @@ impl SharedEngine {
         // to produce and nothing to redo on recovery. Reject it *before*
         // the journaling branch so the statement never reaches the WAL.
         if matches!(stmt, Statement::Tail(_)) {
-            return Err(CoreError::Db(DbError::Unsupported(
-                "TAIL is a continuous query; submit it over the server wire protocol".into(),
-            )));
+            return Err(CoreError::Db(not_a_read(&stmt)));
         }
         let mutating = !matches!(stmt, Statement::Select(_) | Statement::Explain(_));
         if let (Some(storage), true) = (&self.storage, mutating) {
@@ -631,11 +618,8 @@ impl SharedEngine {
                     .insert(spec.view_name.clone(), spec);
                 Ok(QueryOutput::None)
             }
-            tspdb_probdb::Statement::Select(sel) => {
-                self.read().query_select(&sel).map_err(CoreError::from)
-            }
-            tspdb_probdb::Statement::Explain(sel) => {
-                self.read().explain_select(&sel).map_err(CoreError::from)
+            read @ (Statement::Select(_) | Statement::Explain(_)) => {
+                self.execute_read(&ReadPlan::plan(read)?, None)
             }
             other => {
                 let dropped = match &other {
@@ -991,15 +975,16 @@ mod tests {
     fn shared_engine_plan_cache_is_shared_and_generation_invalidated() {
         let engine = shared_engine_with_view();
         let sql = "SELECT * FROM pv WHERE prob >= 0.1";
-        let baseline = engine.query(sql).unwrap();
+        // `execute` plans a SELECT fresh, bypassing the cache.
+        let baseline = engine.execute(sql).unwrap();
         // Warm the cache once (one miss), then concurrent "sessions" all
         // run the same hot statement: every one of them hits.
-        assert_eq!(engine.query_cached(sql).unwrap(), baseline);
+        assert_eq!(engine.query(sql).unwrap(), baseline);
         std::thread::scope(|s| {
             for _ in 0..8 {
                 s.spawn(|| {
                     for _ in 0..4 {
-                        assert_eq!(engine.query_cached(sql).unwrap(), baseline);
+                        assert_eq!(engine.query(sql).unwrap(), baseline);
                     }
                 });
             }
@@ -1012,7 +997,7 @@ mod tests {
         let g = engine.catalog_generation();
         engine.execute("CREATE TABLE extra (k INT)").unwrap();
         assert!(engine.catalog_generation() > g);
-        assert_eq!(engine.query_cached(sql).unwrap(), baseline);
+        assert_eq!(engine.query(sql).unwrap(), baseline);
         let stats = engine.plan_cache_stats();
         assert_eq!(stats.misses, 2, "{stats:?}");
         assert_eq!(stats.invalidations, 1, "{stats:?}");
@@ -1366,6 +1351,11 @@ mod tests {
             wal_before,
             "a rejected TAIL must never reach the WAL"
         );
+        // The read path gives the same answer.
+        let read = engine
+            .query("TAIL SELECT COUNT(*) FROM kv GROUP BY WINDOW(k, 10)")
+            .unwrap_err();
+        assert_eq!(format!("{read:?}"), format!("{err:?}"));
     }
 
     #[test]
@@ -1446,14 +1436,14 @@ mod tests {
     fn snapshot_reads_keep_serving_while_appends_land() {
         let engine = engine_with_rows(direct_config(), 60);
         let sql = "SELECT * FROM pv WHERE prob >= 0.0";
-        let start = engine.query_cached(sql).unwrap().prob_rows().unwrap().len();
+        let start = engine.query(sql).unwrap().prob_rows().unwrap().len();
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let reader = engine.clone();
                 s.spawn(move || {
                     let mut last = start;
                     for _ in 0..40 {
-                        let n = reader.query_cached(sql).unwrap().prob_rows().unwrap().len();
+                        let n = reader.query(sql).unwrap().prob_rows().unwrap().len();
                         // Monotone stream + MVCC snapshots: row counts only grow.
                         assert!(n >= last, "snapshot went backwards: {n} < {last}");
                         last = n;
@@ -1469,7 +1459,7 @@ mod tests {
                 }
             });
         });
-        let end = engine.query_cached(sql).unwrap().prob_rows().unwrap().len();
+        let end = engine.query(sql).unwrap().prob_rows().unwrap().len();
         assert!(end > start);
         // The whole stream of appends kept every cached plan standing.
         let stats = engine.plan_cache_stats();

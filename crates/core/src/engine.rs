@@ -98,8 +98,8 @@ impl Engine {
     }
 
     /// Executes one SQL statement; `CREATE VIEW … AS DENSITY` is fulfilled
-    /// by the Ω-view builder, everything else by the database layer.
-    /// Read-only statements are routed through [`Engine::query`].
+    /// by the Ω-view builder, everything else by the database layer
+    /// (which plans a `SELECT` fresh, without the plan cache).
     pub fn execute(&mut self, sql: &str) -> Result<QueryOutput, CoreError> {
         let stmt = tspdb_probdb::parse(sql)?;
         match stmt {
@@ -111,12 +111,6 @@ impl Engine {
                     built,
                 });
                 Ok(QueryOutput::None)
-            }
-            tspdb_probdb::Statement::Select(sel) => {
-                self.db.query_select(&sel).map_err(CoreError::from)
-            }
-            tspdb_probdb::Statement::Explain(sel) => {
-                self.db.explain_select(&sel).map_err(CoreError::from)
             }
             other => self.db.execute_parsed(other).map_err(CoreError::from),
         }

@@ -12,8 +12,8 @@
 //!   ([`AppenderConfig::max_delay`], checked by [`Appender::tick`]).
 //! * [`TailRegistry`] — the standing-query surface behind
 //!   `TAIL SELECT … GROUP BY WINDOW(…)`. Each subscription re-runs its
-//!   windowed aggregate against an immutable relation snapshot whenever
-//!   the engine's generations move, and emits one [`TailFrame`] per
+//!   windowed aggregate through the engine's one read path
+//!   ([`SharedEngine::query`]) whenever the engine's generations move, and emits one [`TailFrame`] per
 //!   **closed** window bucket — a bucket closes when a later bucket has
 //!   tuples, the watermark rule for monotone time-series streams. Frames
 //!   are *by construction* byte-identical to re-running the equivalent
@@ -200,7 +200,9 @@ pub enum TailEvent {
 
 #[derive(Debug)]
 struct TailSubscription {
-    sel: SelectStmt,
+    /// The standing `SELECT`'s normalized text, which the plan cache
+    /// answers without parsing after the first poll.
+    sql: String,
     /// Start of the last bucket emitted; buckets at or below never
     /// re-emit.
     watermark: Option<f64>,
@@ -254,7 +256,7 @@ impl TailRegistry {
         self.subs.lock().unwrap_or_else(|e| e.into_inner()).insert(
             token.0,
             TailSubscription {
-                sel,
+                sql: sel.to_string(),
                 watermark: None,
                 seen: None,
             },
@@ -290,8 +292,8 @@ impl TailRegistry {
     /// the watermark rule: on a time-monotone stream, once values for a
     /// later window arrive, the earlier window can never grow again. The
     /// frame is produced by re-running the subscription's full windowed
-    /// query against an MVCC snapshot and filtering its groups to the
-    /// closed bucket, so it is byte-identical to what the equivalent
+    /// query through [`SharedEngine::query`] and filtering its groups to
+    /// the closed bucket, so it is byte-identical to what the equivalent
     /// one-shot query answers at that moment.
     pub fn poll(&self, engine: &SharedEngine) -> Vec<TailEvent> {
         let mut events = Vec::new();
@@ -302,7 +304,7 @@ impl TailRegistry {
             if sub.seen == Some(generations) {
                 continue; // nothing changed since the last evaluation
             }
-            let agg = match engine.query_select_snapshot(&sub.sel) {
+            let agg = match engine.query(&sub.sql) {
                 Ok(QueryOutput::Aggregate(agg)) => agg,
                 Ok(other) => {
                     lapsed.push((id, format!("standing query stopped aggregating: {other:?}")));

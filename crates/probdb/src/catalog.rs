@@ -18,11 +18,13 @@
 //! backwards.
 
 use crate::error::DbError;
-use crate::plan::{AggregateResult, ExplainReport, PhysicalPlan, PlannedQuery, Planner};
+use crate::plan::{
+    AggregateResult, ExecContext, ExplainReport, PhysicalPlan, PlannedQuery, Planner,
+};
 use crate::plan_cache::{PlanCache, PlanCacheStats};
 use crate::schema::Schema;
 use crate::shard::ShardMap;
-use crate::sql::{parse, DensityViewSpec, SelectStmt, Statement};
+use crate::sql::{parse, DensityViewSpec, Statement};
 use crate::table::{ProbTable, Table};
 use crate::value::{ColumnType, Value};
 use crate::worlds::WorldsResult;
@@ -142,11 +144,6 @@ impl RelationSynopses {
         self.columns.get(name)
     }
 
-    /// Names of the summarised columns, sorted.
-    pub fn column_names(&self) -> impl Iterator<Item = &str> {
-        self.columns.keys().map(String::as_str)
-    }
-
     /// The lexicographically-first summarised column, if any — the
     /// deterministic anchor for pure-`COUNT` queries.
     pub fn first_column(&self) -> Option<&str> {
@@ -181,19 +178,118 @@ pub enum Relation {
     Probabilistic(ProbTable),
 }
 
-/// An immutable, internally-consistent snapshot of one relation and the
-/// derived structures a query strategy consumes — see
-/// [`Database::snapshot`]. All three `Arc`s were taken under the same
-/// catalog borrow, so the synopses and shard layout always describe
-/// exactly the tuples in `relation`.
+/// An immutable snapshot of one resident relation: the relation rung plus
+/// its shard layout, both taken under the same catalog borrow, so the
+/// layout always describes exactly the tuples in `relation`. It borrows
+/// nothing from the catalog, so a reader may keep executing against it
+/// after releasing whatever lock guards the catalog — see
+/// [`Database::snapshot`] and [`TupleSource::Resident`].
 #[derive(Debug, Clone)]
 pub struct RelationSnapshot {
     /// The relation rung.
     pub relation: Arc<Relation>,
-    /// Precomputed histogram synopses (probabilistic views only).
-    pub synopses: Option<Arc<RelationSynopses>>,
     /// Shard layout (sharded probabilistic views only).
     pub shards: Option<Arc<ShardMap>>,
+}
+
+/// The one tuple source a `SELECT` reads: what [`Database::resolve`]
+/// turns the scanned relation into, and what every
+/// [`EvalStrategy`](crate::plan::EvalStrategy)
+/// executes over through the one restriction operator.
+///
+/// The lifetime `'db` is the catalog borrow the source came from. A
+/// leaf stream reads pages the scan source only keeps valid while no
+/// checkpoint can run, and the engine excludes checkpoints for as long
+/// as a catalog read guard is held; tying the stream to `'db` makes the
+/// compiler reject any use of it after that guard drops. The resident
+/// arm holds owned `Arc`s, so it may outlive the guard.
+///
+/// ```compile_fail,E0515
+/// use std::sync::RwLock;
+/// use tspdb_probdb::{Database, PlannedQuery, TupleSource};
+///
+/// // A source cannot escape the read guard it was resolved under.
+/// fn escape(db: &RwLock<Database>, planned: &PlannedQuery) -> TupleSource<'static> {
+///     let catalog = db.read().unwrap();
+///     catalog.resolve(planned).unwrap()
+/// }
+/// ```
+pub enum TupleSource<'db> {
+    /// A resident relation rung with its shard map.
+    Resident(RelationSnapshot),
+    /// A lazy leaf stream over an on-disk relation, already pruned by the
+    /// plan's restriction.
+    Stream(Box<dyn TupleStream + 'db>),
+}
+
+impl<'db> TupleSource<'db> {
+    /// Column layout of the source's tuples.
+    pub fn schema(&self) -> &Schema {
+        match self {
+            TupleSource::Resident(snapshot) => match snapshot.relation.as_ref() {
+                Relation::Deterministic(t) => t.schema(),
+                Relation::Probabilistic(t) => t.schema(),
+            },
+            TupleSource::Stream(stream) => stream.schema(),
+        }
+    }
+
+    /// Whether the source's tuples carry existence probabilities.
+    pub fn probabilistic(&self) -> bool {
+        match self {
+            TupleSource::Resident(snapshot) => {
+                matches!(snapshot.relation.as_ref(), Relation::Probabilistic(_))
+            }
+            TupleSource::Stream(stream) => stream.probabilistic(),
+        }
+    }
+
+    /// The whole relation, named `name`: a resident source as it is, a
+    /// stream drained tuple by tuple.
+    pub fn into_resident(self, name: &str) -> Result<RelationSnapshot, DbError> {
+        match self {
+            TupleSource::Resident(snapshot) => Ok(snapshot),
+            TupleSource::Stream(stream) => Ok(RelationSnapshot {
+                relation: Arc::new(drain(name, stream, |_, _, _| Ok(true))?),
+                shards: None,
+            }),
+        }
+    }
+}
+
+/// A read statement, planned: what [`Database::plan_read`] turns SQL text
+/// into and what [`Database::execute_read`] runs.
+#[derive(Debug)]
+pub enum ReadPlan {
+    /// A `SELECT`.
+    Select(Arc<PlannedQuery>),
+    /// An `EXPLAIN` of the planned `SELECT`; its report is built when the
+    /// read runs, so it reflects the catalog of that moment.
+    Explain(Arc<PlannedQuery>),
+    /// Any other statement, handed back parsed: a write, or `TAIL`.
+    Other(Box<Statement>),
+}
+
+impl ReadPlan {
+    /// Plans a parsed statement without the plan cache.
+    pub fn plan(stmt: Statement) -> Result<ReadPlan, DbError> {
+        Ok(match stmt {
+            Statement::Select(sel) => ReadPlan::Select(Arc::new(Planner::plan(&sel)?)),
+            Statement::Explain(sel) => ReadPlan::Explain(Arc::new(Planner::plan(&sel)?)),
+            other => ReadPlan::Other(Box::new(other)),
+        })
+    }
+}
+
+/// The error a read path answers a statement it cannot run with: `TAIL`
+/// is a continuous query, anything else mutates the database.
+pub fn not_a_read(stmt: &Statement) -> DbError {
+    match stmt {
+        Statement::Tail(_) => DbError::Unsupported(
+            "TAIL is a continuous query; submit it over the server wire protocol".into(),
+        ),
+        other => DbError::ReadOnly(format!("{other:?}")),
+    }
 }
 
 /// Result of executing one statement.
@@ -279,22 +375,18 @@ pub type DensityHandler<'a> =
 
 /// A fallback provider of relations that are not resident in memory —
 /// implemented by the persistent storage engine upstream (`tspdb-storage`),
-/// which materialises relations from its paged on-disk tables.
+/// which streams relations from its paged on-disk tables.
 ///
 /// The substrate stays storage-agnostic: it only asks for a relation by
 /// name when the in-memory catalog misses. Whatever comes back is executed
 /// by the *same* strategies over the *same* tuple representation, so for a
 /// fixed query + seed the results are bit-identical whether the relation
-/// was resident or scanned from the source.
+/// was resident or streamed from the source.
 pub trait ScanSource: std::fmt::Debug + Send + Sync {
-    /// Materialises the named relation, or `None` if the source doesn't
-    /// hold it either.
-    fn scan(&self, name: &str) -> Result<Option<Relation>, DbError>;
     /// Opens a lazy tuple stream over the named relation, or `None` when
-    /// the source either doesn't hold it or can't stream (the default:
-    /// sources without a paged layout fall back to [`ScanSource::scan`]).
-    /// The executor uses this to filter a disk-resident relation tuple by
-    /// tuple instead of materialising it whole.
+    /// the source doesn't hold it. The executor restricts the stream
+    /// tuple by tuple instead of materialising the relation whole; the
+    /// catalog materialises through it too.
     ///
     /// `restriction` is the plan whose `WHERE`/`THRESHOLD` the caller
     /// applies to every streamed tuple. A paged source may skip any run of
@@ -302,14 +394,11 @@ pub trait ScanSource: std::fmt::Debug + Send + Sync {
     /// [`crate::Zone::is_prunable`] hold for it — no tuple there could
     /// survive, or raise an error, under that restriction. `None` streams
     /// every tuple.
-    fn scan_stream(
-        &self,
+    fn scan_stream<'a>(
+        &'a self,
         name: &str,
         restriction: Option<&PhysicalPlan>,
-    ) -> Result<Option<Box<dyn TupleStream>>, DbError> {
-        let _ = (name, restriction);
-        Ok(None)
-    }
+    ) -> Result<Option<Box<dyn TupleStream + 'a>>, DbError>;
     /// Names of all relations the source can scan.
     fn names(&self) -> Vec<String>;
 }
@@ -320,9 +409,9 @@ pub type StreamedTuple = (Vec<Value>, Option<f64>);
 
 /// A pull-based tuple stream over one relation, yielded by
 /// [`ScanSource::scan_stream`]. Tuples arrive in the relation's canonical
-/// (insertion) order — the same order a materialised scan would hold them
-/// — so anything computed from the stream is bit-identical to the
-/// materialised path.
+/// (insertion) order — the same order a resident relation holds them —
+/// so anything computed from the stream is bit-identical to the resident
+/// path.
 pub trait TupleStream {
     /// Column layout of the streamed tuples.
     fn schema(&self) -> &Schema;
@@ -337,35 +426,34 @@ pub trait TupleStream {
     }
 }
 
-/// Drains a lazy stream into a whole relation (used when a strategy needs
-/// every tuple anyway — the whole-relation synopsis path).
-fn materialize_stream(
+/// Drains a stream into a relation named `name` of the tuples `keep`
+/// accepts, in stream order: the one place streamed tuples become a
+/// relation, for whole-relation materialisation and restriction alike.
+pub(crate) fn drain(
     name: &str,
-    schema: &Schema,
-    stream: &mut dyn TupleStream,
+    mut stream: Box<dyn TupleStream + '_>,
+    mut keep: impl FnMut(&Schema, &[Value], Option<f64>) -> Result<bool, DbError>,
 ) -> Result<Relation, DbError> {
-    if stream.probabilistic() {
-        let mut t = ProbTable::new(name, schema.clone());
-        while let Some((row, prob)) = stream.next_tuple()? {
-            let prob = prob.ok_or_else(|| {
-                DbError::Storage(format!("{name}: probabilistic tuple without probability"))
-            })?;
+    let schema = stream.schema().clone();
+    if !stream.probabilistic() {
+        let mut t = Table::new(name, schema);
+        while let Some((row, _)) = stream.next_tuple()? {
+            if keep(t.schema(), &row, None)? {
+                t.insert(row)?;
+            }
+        }
+        return Ok(Relation::Deterministic(t));
+    }
+    let mut t = ProbTable::new(name, schema);
+    while let Some((row, prob)) = stream.next_tuple()? {
+        let prob = prob.ok_or_else(|| {
+            DbError::Storage(format!("{name}: probabilistic tuple without probability"))
+        })?;
+        if keep(t.schema(), &row, Some(prob))? {
             t.insert(row, prob)?;
         }
-        Ok(Relation::Probabilistic(t))
-    } else {
-        let mut t = Table::new(name, schema.clone());
-        while let Some((row, _)) = stream.next_tuple()? {
-            t.insert(row)?;
-        }
-        Ok(Relation::Deterministic(t))
     }
-}
-
-/// The restriction a lazy scan of `planned`'s relation may prune by:
-/// none when a synopsis answers from the whole relation.
-fn stream_restriction(planned: &PlannedQuery) -> Option<&PhysicalPlan> {
-    (!planned.synopsis_answers_whole_relation()).then_some(&planned.physical)
+    Ok(Relation::Probabilistic(t))
 }
 
 /// An in-memory database of named relations.
@@ -472,49 +560,38 @@ impl Database {
         self.plan_cache.lookup(sql, self.generation())
     }
 
-    /// Plans a `SELECT` through the shared plan cache: a normalized-text
-    /// hit (the statement's `Display`, which the parser round-trips)
-    /// reuses the cached plan and aliases this spelling's raw text for
-    /// next time; a miss plans fresh and caches under both keys.
-    pub fn plan_select_cached(
-        &self,
-        sql: &str,
-        sel: &SelectStmt,
-    ) -> Result<Arc<PlannedQuery>, DbError> {
+    /// Plans a read statement through the shared plan cache: an exact
+    /// textual repeat of a cached `SELECT` skips the parser; otherwise a
+    /// `SELECT` whose normalized text (its `Display`, which the parser
+    /// round-trips) is cached reuses that plan and aliases this spelling's
+    /// raw text for next time, and a miss plans fresh and caches under
+    /// both keys. `EXPLAIN` plans uncached; other statements come back as
+    /// [`ReadPlan::Other`].
+    pub fn plan_read(&self, sql: &str) -> Result<ReadPlan, DbError> {
         let generation = self.generation();
+        if let Some(plan) = self.plan_cache.lookup(sql, generation) {
+            return Ok(ReadPlan::Select(plan));
+        }
+        let sel = match parse(sql)? {
+            Statement::Select(sel) => sel,
+            other => return ReadPlan::plan(other),
+        };
         let normalized = sel.to_string();
         if let Some(plan) = self.plan_cache.lookup(&normalized, generation) {
             if normalized != sql {
                 self.plan_cache.insert(&[sql], &plan, generation);
             }
-            return Ok(plan);
+            return Ok(ReadPlan::Select(plan));
         }
         self.plan_cache.record_miss();
-        let planned = Arc::new(Planner::plan(sel)?);
+        let planned = Arc::new(Planner::plan(&sel)?);
         if normalized == sql {
             self.plan_cache.insert(&[sql], &planned, generation);
         } else {
             self.plan_cache
                 .insert(&[sql, normalized.as_str()], &planned, generation);
         }
-        Ok(planned)
-    }
-
-    /// [`Database::query`] through the shared plan cache: hot statements
-    /// skip parse+plan entirely (raw-text hit) or at least planning
-    /// (normalized hit). Semantics are identical to [`Database::query`].
-    pub fn query_cached(&self, sql: &str) -> Result<QueryOutput, DbError> {
-        if let Some(planned) = self.cached_plan(sql) {
-            return self.execute_planned(&planned);
-        }
-        match parse(sql)? {
-            Statement::Select(sel) => {
-                let planned = self.plan_select_cached(sql, &sel)?;
-                self.execute_planned(&planned)
-            }
-            Statement::Explain(sel) => self.explain_select(&sel),
-            other => Err(DbError::ReadOnly(format!("{other:?}"))),
-        }
+        Ok(ReadPlan::Select(planned))
     }
 
     /// Names of all stored relations, sorted.
@@ -547,20 +624,17 @@ impl Database {
         self.bump_generation();
     }
 
-    /// Whether a scan source is attached.
-    pub fn has_scan_source(&self) -> bool {
-        self.scan_source.is_some()
-    }
-
-    /// Materialises a relation from the attached scan source (`None` when
-    /// no source is attached or the source doesn't hold the name).
-    fn scan_from_source(&self, name: &str) -> Result<Option<Relation>, DbError> {
-        if self.dropped.contains(name) {
-            return Ok(None);
-        }
+    /// Opens the scan source's lazy stream over `name`, pruned by
+    /// `restriction` (`None` when no source is attached, the name was
+    /// dropped, or the source doesn't hold it).
+    fn stream(
+        &self,
+        name: &str,
+        restriction: Option<&PhysicalPlan>,
+    ) -> Result<Option<Box<dyn TupleStream + '_>>, DbError> {
         match &self.scan_source {
-            Some(source) => source.scan(name),
-            None => Ok(None),
+            Some(source) if !self.dropped.contains(name) => source.scan_stream(name, restriction),
+            _ => Ok(None),
         }
     }
 
@@ -595,20 +669,19 @@ impl Database {
         if self.relations.contains_key(name) {
             return Ok(true);
         }
-        match self.scan_from_source(name)? {
-            Some(Relation::Deterministic(t)) => {
+        let Some(stream) = self.stream(name, None)? else {
+            return Ok(false);
+        };
+        match drain(name, stream, |_, _, _| Ok(true))? {
+            Relation::Deterministic(t) => {
                 self.relations
                     .insert(name.to_string(), Arc::new(Relation::Deterministic(t)));
-                Ok(true)
             }
-            Some(Relation::Probabilistic(t)) => {
-                // Goes through registration so the synopses are (re)built
-                // deterministically from the recovered tuples.
-                self.register_prob_table(t)?;
-                Ok(true)
-            }
-            None => Ok(false),
+            // Goes through registration so the synopses are (re)built
+            // deterministically from the recovered tuples.
+            Relation::Probabilistic(t) => self.register_prob_table(t)?,
         }
+        Ok(true)
     }
 
     /// Registers a deterministic table (errors on name collision).
@@ -842,35 +915,31 @@ impl Database {
         self.relations.get(name).map(|r| r.as_ref())
     }
 
-    /// The current rung of one resident relation — an immutable snapshot a
-    /// caller can keep executing against after dropping whatever lock
-    /// guards the catalog. Appends swap in a new rung rather than mutating
-    /// this one in place (unless nobody else holds it), so the snapshot
-    /// stays internally consistent for as long as the `Arc` lives.
-    pub fn relation_snapshot(&self, name: &str) -> Option<Arc<Relation>> {
-        self.relations.get(name).cloned()
+    /// The whole relation `name` as an immutable snapshot a caller can
+    /// keep after releasing whatever lock guards the catalog: the resident
+    /// rung (appends swap in a new rung rather than mutating this one in
+    /// place, unless nobody else holds it), or an evicted relation
+    /// materialised from the scan source.
+    pub fn snapshot(&self, name: &str) -> Result<RelationSnapshot, DbError> {
+        self.source(name, None)?.into_resident(name)
     }
 
-    /// Everything a planned query needs to execute against one relation,
-    /// as immutable snapshots: the relation rung plus the matching synopsis
-    /// and shard-layout `Arc`s. This is the MVCC read path — clone the
-    /// snapshot under a shared lock, release the lock, then run
-    /// [`crate::plan::PlannedQuery::strategy_with_context`] against it
-    /// while writers land new rungs. Falls through to the scan source for
-    /// evicted relations (materialising a fresh snapshot).
-    pub fn snapshot(&self, name: &str) -> Result<RelationSnapshot, DbError> {
-        let relation = match self.relations.get(name).cloned() {
-            Some(r) => r,
-            None => match self.scan_from_source(name)? {
-                Some(r) => Arc::new(r),
-                None => return Err(DbError::UnknownTable(name.to_string())),
-            },
-        };
-        Ok(RelationSnapshot {
-            relation,
-            synopses: self.synopses(name),
-            shards: self.shard_map(name),
-        })
+    /// The tuple source of relation `name`: the resident rung with its
+    /// shard map, else the scan source's stream pruned by `restriction`.
+    fn source(
+        &self,
+        name: &str,
+        restriction: Option<&PhysicalPlan>,
+    ) -> Result<TupleSource<'_>, DbError> {
+        if let Some(relation) = self.relations.get(name) {
+            return Ok(TupleSource::Resident(RelationSnapshot {
+                relation: Arc::clone(relation),
+                shards: self.shard_map(name),
+            }));
+        }
+        self.stream(name, restriction)?
+            .map(TupleSource::Stream)
+            .ok_or_else(|| DbError::UnknownTable(name.to_string()))
     }
 
     /// Looks up a deterministic table.
@@ -904,7 +973,8 @@ impl Database {
             .ok_or_else(|| DbError::UnknownTable(name.to_string()))
     }
 
-    /// Executes a read-only statement (`SELECT`) with a shared borrow.
+    /// Executes a read-only statement (`SELECT` or `EXPLAIN`) with a
+    /// shared borrow, planning through the shared plan cache.
     ///
     /// This is the concurrent read path: `&self` means any number of
     /// threads can run queries at once (e.g. through the read side of an
@@ -931,260 +1001,88 @@ impl Database {
     /// assert!(db.query("DROP TABLE pv").is_err());
     /// ```
     pub fn query(&self, sql: &str) -> Result<QueryOutput, DbError> {
-        match parse(sql)? {
-            Statement::Select(sel) => self.query_select(&sel),
-            Statement::Explain(sel) => self.explain_select(&sel),
-            other => Err(DbError::ReadOnly(format!("{other:?}"))),
+        self.execute_read(&self.plan_read(sql)?)
+    }
+
+    /// Runs a planned read statement: a `SELECT` through
+    /// [`Database::execute_planned`], an `EXPLAIN` through
+    /// [`Database::explain`]; anything else is refused ([`not_a_read`]).
+    pub fn execute_read(&self, plan: &ReadPlan) -> Result<QueryOutput, DbError> {
+        match plan {
+            ReadPlan::Select(planned) => self.execute_planned(planned),
+            ReadPlan::Explain(planned) => self.explain(planned),
+            ReadPlan::Other(stmt) => Err(not_a_read(stmt)),
         }
     }
 
-    /// Runs an already-parsed `SELECT` with a shared borrow — the
-    /// parse-free core of [`Database::query`], for callers (like the
-    /// engines) that classified the statement themselves. Planning and
-    /// execution are split so callers can also plan once and execute many
-    /// times via [`Database::execute_planned`].
-    pub fn query_select(&self, sel: &SelectStmt) -> Result<QueryOutput, DbError> {
-        self.execute_planned(&Planner::plan(sel)?)
-    }
-
-    /// [`Database::query_select`] with a per-query override of the
-    /// `WITH WORLDS` fork-join width (`None` uses the database setting) —
-    /// the hook server sessions use to tune MC parallelism per connection
-    /// without touching shared state.
-    pub fn query_select_with_threads(
-        &self,
-        sel: &SelectStmt,
-        worlds_threads: Option<usize>,
-    ) -> Result<QueryOutput, DbError> {
-        self.execute_planned_with_threads(&Planner::plan(sel)?, worlds_threads)
-    }
-
-    /// Executes a planned query: resolves the scanned relation and runs
-    /// the plan's strategy over it.
+    /// Executes a planned query: resolves the scanned relation to its
+    /// tuple source and runs the plan's strategy over it.
     pub fn execute_planned(&self, planned: &PlannedQuery) -> Result<QueryOutput, DbError> {
-        self.execute_planned_with_threads(planned, None)
-    }
-
-    /// [`Database::execute_planned`] with a per-query override of the
-    /// `WITH WORLDS` fork-join width (`None` uses the database setting;
-    /// the override never changes MC estimates, only their latency).
-    pub fn execute_planned_with_threads(
-        &self,
-        planned: &PlannedQuery,
-        worlds_threads: Option<usize>,
-    ) -> Result<QueryOutput, DbError> {
-        // Resident relations win; otherwise try the scan source's lazy
-        // stream, and fall through to whole-relation materialisation only
-        // when the source can't stream. Either way the same strategy
-        // executes over the same tuple representation, so results are
-        // bit-identical across media for a fixed query + seed.
-        let fetched;
-        let relation = match self.relations.get(&planned.physical.table) {
-            Some(r) => r.as_ref(),
-            None => {
-                if let Some(out) = self.execute_streamed(planned, worlds_threads)? {
-                    return Ok(out);
-                }
-                match self.scan_from_source(&planned.physical.table)? {
-                    Some(r) => {
-                        fetched = r;
-                        &fetched
-                    }
-                    None => return Err(DbError::UnknownTable(planned.physical.table.clone())),
-                }
-            }
-        };
         planned
-            .strategy_with_context(
-                worlds_threads.unwrap_or_else(|| self.worlds_threads()),
-                self.synopses(&planned.physical.table),
-                self.shard_map(&planned.physical.table),
-            )
-            .execute(relation, &planned.physical)
+            .strategy(self.exec_context(planned, None))
+            .execute(self.resolve(planned)?, &planned.physical)
     }
 
-    /// Executes `planned` over the scan source's lazy tuple stream,
-    /// filtering leaf by leaf instead of materialising the relation
-    /// whole. Returns `Ok(None)` when the source can't stream.
-    ///
-    /// Bit-identity with the materialised path is preserved by applying
-    /// the *same* restrictions in the *same* observable order: `WHERE`
-    /// (and `THRESHOLD`, when the strategy would apply it) run per tuple
-    /// during the stream and are stripped from the plan the strategy
-    /// executes; `TOP` stays with the strategy, which also keeps
-    /// ownership of the deterministic `THRESHOLD`/`TOP`/`WITH WORLDS`
-    /// rejection and the τ range check. The source skips leaves the
-    /// restriction provably empties ([`crate::Zone::is_prunable`]).
-    /// `WITH WORLDS` takes the same path: its strategy restricts before
-    /// it samples, so sampling the streamed, restricted tuples is
-    /// bit-identical to sampling the resident relation.
-    fn execute_streamed(
-        &self,
-        planned: &PlannedQuery,
-        worlds_threads: Option<usize>,
-    ) -> Result<Option<QueryOutput>, DbError> {
-        use crate::plan::{PhysicalAction, StrategyKind};
-        use crate::query::eval_conjunction;
+    /// What `planned`'s strategy needs from the catalog: the fork-join
+    /// width (`threads`, else the database setting; it never changes
+    /// answers, only their latency) and the scanned relation's synopses.
+    pub fn exec_context(&self, planned: &PlannedQuery, threads: Option<usize>) -> ExecContext {
+        ExecContext {
+            threads: threads.unwrap_or_else(|| self.worlds_threads()),
+            synopses: self.synopses(&planned.physical.table),
+        }
+    }
 
+    /// Resolves the relation `planned` scans to its one tuple source: the
+    /// resident rung with its shard map, else the scan source's lazy
+    /// stream, which skips the leaves the plan's restriction provably
+    /// empties ([`crate::Zone::is_prunable`]) — unless a synopsis answers
+    /// from the whole relation. Either way the strategy restricts the
+    /// same tuples in the same order, so results are bit-identical across
+    /// media for a fixed query + seed.
+    pub fn resolve(&self, planned: &PlannedQuery) -> Result<TupleSource<'_>, DbError> {
+        let restriction = (!planned.synopsis_answers_whole_relation()).then_some(&planned.physical);
+        self.source(&planned.physical.table, restriction)
+    }
+
+    /// The [`ExplainReport`] of a planned `SELECT` (the `EXPLAIN`
+    /// statement): the plan, the strategy, and how the scanned relation
+    /// would be read right now.
+    pub fn explain(&self, planned: &PlannedQuery) -> Result<QueryOutput, DbError> {
         let name = &planned.physical.table;
-        if self.dropped.contains(name) {
-            return Ok(None);
-        }
-        let Some(source) = &self.scan_source else {
-            return Ok(None);
-        };
-        let Some(mut stream) = source.scan_stream(name, stream_restriction(planned))? else {
-            return Ok(None);
-        };
-        let threads = worlds_threads.unwrap_or_else(|| self.worlds_threads());
-        let plan = &planned.physical;
-        let schema = stream.schema().clone();
-        let worlds = matches!(planned.strategy, StrategyKind::Worlds(_));
-
-        // A synopsis plan with no fallback answers from bucketed moments
-        // over the whole relation: stream it through unfiltered and hand
-        // the strategy the cached synopses, exactly like the materialised
-        // path (the synopses' staleness guard compares tuple counts).
-        if planned.synopsis_answers_whole_relation() {
-            let relation = materialize_stream(name, &schema, stream.as_mut())?;
-            let strategy = planned.strategy_with_context(threads, self.synopses(name), None);
-            return strategy.execute(&relation, plan).map(Some);
-        }
-
-        if !stream.probabilistic() {
-            if worlds || plan.threshold.is_some() || plan.top.is_some() {
-                // The strategy rejects THRESHOLD/TOP/WITH WORLDS on
-                // deterministic relations *before* evaluating any
-                // predicate; handing it an empty relation and the
-                // unstripped plan reproduces that error (and its
-                // ordering) without reading a page.
-                let empty = Relation::Deterministic(Table::new(name, schema));
-                let strategy = planned.strategy_with_context(threads, None, None);
-                return strategy.execute(&empty, plan).map(Some);
-            }
-            let mut t = Table::new(name, schema.clone());
-            while let Some((row, _)) = stream.next_tuple()? {
-                if eval_conjunction(&schema, &row, None, &plan.predicate)? {
-                    t.insert(row)?;
+        let relation = match self.resolve(planned) {
+            Ok(TupleSource::Resident(snapshot)) => {
+                match (snapshot.relation.as_ref(), snapshot.shards) {
+                    (Relation::Deterministic(t), _) => {
+                        format!("{name}: deterministic ({} rows)", t.len())
+                    }
+                    (Relation::Probabilistic(t), Some(map)) => format!(
+                        "{name}: probabilistic ({} tuples, {} shards by {:?})",
+                        t.len(),
+                        map.shard_count(),
+                        map.column()
+                    ),
+                    (Relation::Probabilistic(t), None) => {
+                        format!("{name}: probabilistic ({} tuples)", t.len())
+                    }
                 }
             }
-            let mut stripped = plan.clone();
-            stripped.predicate = Vec::new();
-            let strategy = planned.strategy_with_context(threads, None, None);
-            return strategy
-                .execute(&Relation::Deterministic(t), &stripped)
-                .map(Some);
-        }
-
-        // A WITH WORLDS row query validates its projection before it
-        // restricts; so must the stream, or a WHERE error would win.
-        if let (true, PhysicalAction::Rows { columns, .. }) = (worlds, &plan.action) {
-            for col in columns {
-                schema.index_of(col)?;
-            }
-        }
-
-        // Probabilistic: WHERE and THRESHOLD filter per tuple during the
-        // stream. Predicate errors surface on the first offending tuple
-        // (as in the materialised path, which filters before validating
-        // τ); τ's range check follows at exhaustion, in the same order
-        // restrict_prob_indices checks it.
-        let mut t = ProbTable::new(name, schema.clone());
-        while let Some((row, prob)) = stream.next_tuple()? {
-            let prob = prob.ok_or_else(|| {
-                DbError::Storage(format!("{name}: probabilistic tuple without probability"))
-            })?;
-            if !eval_conjunction(&schema, &row, Some(prob), &plan.predicate)? {
-                continue;
-            }
-            if let Some(tau) = plan.threshold {
-                if !(prob >= tau) {
-                    continue;
-                }
-            }
-            t.insert(row, prob)?;
-        }
-        if let Some(tau) = plan.threshold {
-            if !(0.0..=1.0).contains(&tau) {
-                return Err(DbError::InvalidProbability(tau));
-            }
-        }
-        let mut stripped = plan.clone();
-        stripped.predicate = Vec::new();
-        stripped.threshold = None;
-        // No synopses (the restricted tuple set no longer matches the
-        // cached ones — their staleness guard would reject them anyway)
-        // and no shards (layouts describe the unrestricted relation).
-        let strategy = planned.strategy_with_context(threads, None, None);
-        strategy
-            .execute(&Relation::Probabilistic(t), &stripped)
-            .map(Some)
-    }
-
-    /// Plans a `SELECT` and returns its [`ExplainReport`] instead of
-    /// executing it (the `EXPLAIN` statement).
-    pub fn explain_select(&self, sel: &SelectStmt) -> Result<QueryOutput, DbError> {
-        let planned = Planner::plan(sel)?;
-        let relation = match self
-            .relations
-            .get(&planned.physical.table)
-            .map(|r| r.as_ref())
-        {
-            Some(Relation::Deterministic(t)) => {
-                format!(
-                    "{}: deterministic ({} rows)",
-                    planned.physical.table,
-                    t.len()
-                )
-            }
-            Some(Relation::Probabilistic(t)) => match self.shard_map(&planned.physical.table) {
-                Some(map) => format!(
-                    "{}: probabilistic ({} tuples, {} shards by {:?})",
-                    planned.physical.table,
-                    t.len(),
-                    map.shard_count(),
-                    map.column()
-                ),
-                None => format!(
-                    "{}: probabilistic ({} tuples)",
-                    planned.physical.table,
-                    t.len()
-                ),
-            },
-            None if !self.dropped.contains(&planned.physical.table)
-                && self
-                    .scan_source
-                    .as_ref()
-                    .is_some_and(|s| s.names().contains(&planned.physical.table)) =>
-            {
-                let leaves = self
-                    .scan_source
-                    .as_ref()
-                    .map(|s| s.scan_stream(&planned.physical.table, stream_restriction(&planned)))
-                    .transpose()?
-                    .flatten()
-                    .and_then(|stream| stream.leaves())
+            Ok(TupleSource::Stream(stream)) => {
+                let leaves = stream
+                    .leaves()
                     .map(|(k, n)| format!(", {k} of {n} leaves after pruning"))
                     .unwrap_or_default();
-                format!(
-                    "{}: on disk (via scan source) — lazy leaf-at-a-time scan{leaves}",
-                    planned.physical.table
-                )
+                format!("{name}: on disk (via scan source) — lazy leaf-at-a-time scan{leaves}")
             }
-            None => format!(
-                "{}: not found (plan is still valid)",
-                planned.physical.table
-            ),
+            Err(DbError::UnknownTable(_)) => format!("{name}: not found (plan is still valid)"),
+            Err(e) => return Err(e),
         };
         Ok(QueryOutput::Explain(ExplainReport {
             relation,
             logical: planned.logical.to_string(),
             physical: planned.physical.to_string(),
             strategy: planned
-                .strategy_with_synopses(
-                    self.worlds_threads(),
-                    self.synopses(&planned.physical.table),
-                )
+                .strategy(self.exec_context(planned, None))
                 .describe(),
         }))
     }
@@ -1246,12 +1144,11 @@ impl Database {
             Statement::Insert { table, rows } => {
                 self.append_rows(&table, rows).map(|_| QueryOutput::None)
             }
-            Statement::Select(sel) => self.query_select(&sel),
-            Statement::Explain(sel) => self.explain_select(&sel),
+            read @ (Statement::Select(_) | Statement::Explain(_)) => {
+                self.execute_read(&ReadPlan::plan(read)?)
+            }
             Statement::CreateDensityView(_) => unreachable!("handled by callers"),
-            Statement::Tail(_) => Err(DbError::Unsupported(
-                "TAIL is a continuous query; submit it over the server wire protocol".into(),
-            )),
+            tail @ Statement::Tail(_) => Err(not_a_read(&tail)),
             Statement::Drop { name } => {
                 // Materialise an evicted relation first so the drop is
                 // visible to the catalog (the storage layer forgets it at
@@ -1609,5 +1506,17 @@ mod tests {
         }
         // The table is untouched.
         assert_eq!(db.table("raw_values").unwrap().len(), 4);
+    }
+
+    #[test]
+    fn tail_gets_the_same_answer_on_the_read_and_write_paths() {
+        let mut db = setup();
+        let sql = "TAIL SELECT COUNT(*) FROM raw_values GROUP BY WINDOW(t, 2)";
+        let read = db.query(sql).unwrap_err();
+        assert!(
+            matches!(&read, DbError::Unsupported(m) if m.contains("continuous query")),
+            "{read:?}"
+        );
+        assert_eq!(read, db.execute(sql).unwrap_err());
     }
 }

@@ -72,13 +72,14 @@ pub mod worlds;
 
 pub use aggregates::{sum_distribution_of, SumDistribution};
 pub use catalog::{
-    Database, QueryOutput, Relation, RelationSnapshot, RelationSynopses, ScanSource, StreamedTuple,
-    TupleStream, AUTO_SHARD_MIN_ROWS, DEFAULT_SYNOPSIS_BUCKETS,
+    not_a_read, Database, QueryOutput, ReadPlan, Relation, RelationSnapshot, RelationSynopses,
+    ScanSource, StreamedTuple, TupleSource, TupleStream, AUTO_SHARD_MIN_ROWS,
+    DEFAULT_SYNOPSIS_BUCKETS,
 };
 pub use error::DbError;
 pub use plan::{
-    AggregateResult, EvalStrategy, ExactStrategy, ExplainReport, LogicalPlan, PhysicalPlan,
-    PlannedQuery, Planner, ScanContext, StrategyKind, SynopsisStrategy, WorldsStrategy,
+    AggregateResult, EvalStrategy, ExactStrategy, ExecContext, ExplainReport, LogicalPlan,
+    PhysicalPlan, PlannedQuery, Planner, StrategyKind, SynopsisStrategy, WorldsStrategy,
 };
 pub use plan_cache::PlanCacheStats;
 pub use query::{CmpOp, Comparison, Conjunction};

@@ -34,11 +34,13 @@
 //! `match` arm in the catalog.
 
 use crate::aggregates::{count_distribution_of, sum_distribution_of, sum_moments_of};
-use crate::catalog::{QueryOutput, Relation, RelationSynopses, DEFAULT_SYNOPSIS_BUCKETS};
+use crate::catalog::{
+    drain, QueryOutput, Relation, RelationSnapshot, RelationSynopses, TupleSource,
+    DEFAULT_SYNOPSIS_BUCKETS,
+};
 use crate::error::DbError;
 use crate::query::{eval_conjunction, CmpOp, Conjunction, PROB_PSEUDO_COLUMN};
 use crate::schema::Schema;
-use crate::shard::ShardMap;
 use crate::sql::{
     AggExpr, AggFunc, HavingClause, SelectItem, SelectStmt, SynopsisClause, WindowSpec,
     WorldsClause,
@@ -338,78 +340,44 @@ pub struct PlannedQuery {
 }
 
 impl PlannedQuery {
-    /// Instantiates the chosen strategy (`worlds_threads` is the engine's
-    /// fork-join width for sampling; it never changes MC estimates).
-    ///
-    /// [`SynopsisStrategy`] is instantiated without precomputed synopses
-    /// and builds them on demand; the catalog injects its cached ones via
-    /// [`PlannedQuery::strategy_with_synopses`].
-    pub fn strategy(&self, worlds_threads: usize) -> Box<dyn EvalStrategy> {
-        self.strategy_with_synopses(worlds_threads, None)
-    }
-
-    /// Like [`PlannedQuery::strategy`], but hands the synopsis backend the
-    /// relation's precomputed [`RelationSynopses`] snapshot (if any) so it
-    /// answers in O(B) instead of rebuilding histograms per query.
-    pub fn strategy_with_synopses(
-        &self,
-        worlds_threads: usize,
-        synopses: Option<Arc<RelationSynopses>>,
-    ) -> Box<dyn EvalStrategy> {
-        self.strategy_with_context(worlds_threads, synopses, None)
-    }
-
-    /// Like [`PlannedQuery::strategy_with_synopses`], additionally handing
-    /// every strategy the scanned relation's [`ShardMap`] (if the catalog
-    /// sharded it) so tuple restriction can prune and fan out across
-    /// shards. Sharding is a pure performance knob: the shard-ordered
-    /// reduction keeps every answer bit-identical to unsharded execution.
-    pub fn strategy_with_context(
-        &self,
-        threads: usize,
-        synopses: Option<Arc<RelationSynopses>>,
-        shards: Option<Arc<ShardMap>>,
-    ) -> Box<dyn EvalStrategy> {
-        let scan = ScanContext { threads, shards };
+    /// Instantiates the chosen strategy with what it needs from the
+    /// catalog beyond its tuple source (see [`ExecContext`]).
+    pub fn strategy(&self, ctx: ExecContext) -> Box<dyn EvalStrategy> {
         match &self.strategy {
-            StrategyKind::Exact => Box::new(ExactStrategy { scan }),
+            StrategyKind::Exact => Box::new(ExactStrategy {
+                threads: ctx.threads,
+            }),
             StrategyKind::Worlds(clause) => Box::new(WorldsStrategy {
                 clause: clause.clone(),
-                threads,
-                scan,
+                threads: ctx.threads,
             }),
-            StrategyKind::Synopsis(clause) => Box::new(SynopsisStrategy::new_with_context(
-                clause.clone(),
-                &self.physical,
-                synopses,
-                scan,
-            )),
+            StrategyKind::Synopsis(clause) => {
+                Box::new(SynopsisStrategy::new(clause.clone(), &self.physical, ctx))
+            }
         }
     }
 
     /// Whether this plan runs `WITH SYNOPSIS` *without* a plan-shape
     /// fallback — i.e. it will answer from bucketed moments over the
-    /// **whole** relation. The lazy scan path must not pre-filter the
-    /// stream for such a plan: the synopsis needs the unrestricted
-    /// relation (and its cached synopses) to stay bit-identical to the
-    /// materialised path.
+    /// **whole** relation. The lazy scan path must not prune the stream
+    /// for such a plan: the synopsis needs the unrestricted relation (and
+    /// its cached synopses) to stay bit-identical to the resident path.
     pub(crate) fn synopsis_answers_whole_relation(&self) -> bool {
         matches!(&self.strategy, StrategyKind::Synopsis(_))
             && synopsis_support(&self.physical).is_ok()
     }
 }
 
-/// Catalog-resolved inputs every strategy's scan phase shares: the
-/// fork-join width and the scanned relation's shard layout (if any).
-/// `Default` means "flat sequential scan" — exactly the historical
-/// behaviour, which sharded execution reproduces bit-for-bit.
+/// What a strategy needs from the catalog beyond its tuple source.
+/// `Default` is a single sequential scan with no precomputed synopses.
 #[derive(Debug, Clone, Default)]
-pub struct ScanContext {
-    /// Fork-join width for the shard fan-out (0 = one thread per core);
-    /// affects latency only.
+pub struct ExecContext {
+    /// Fork-join width for Monte-Carlo sampling and the shard fan-out
+    /// (0 = one thread per core); affects latency only.
     pub threads: usize,
-    /// Shard layout of the scanned relation (`None` = unsharded).
-    pub shards: Option<Arc<ShardMap>>,
+    /// The scanned relation's precomputed synopses, which the synopsis
+    /// strategy answers from (`None` = build on demand from the tuples).
+    pub synopses: Option<Arc<RelationSynopses>>,
 }
 
 /// Builds [`PlannedQuery`]s from parsed statements. Stateless — planning
@@ -753,16 +721,17 @@ pub trait EvalStrategy {
     /// Parameter description for `EXPLAIN`.
     fn describe(&self) -> String;
 
-    /// Executes a physical plan against the resolved source relation.
-    fn execute(&self, relation: &Relation, plan: &PhysicalPlan) -> Result<QueryOutput, DbError>;
+    /// Executes a physical plan over the scanned relation's tuple source.
+    fn execute(&self, source: TupleSource<'_>, plan: &PhysicalPlan)
+        -> Result<QueryOutput, DbError>;
 }
 
 /// Closed-form evaluation over tuple independence.
 #[derive(Debug, Clone, Default)]
 pub struct ExactStrategy {
-    /// Scan-phase context (shard layout + fan-out width). The default is
-    /// a flat sequential scan.
-    pub scan: ScanContext,
+    /// Fork-join width for the shard fan-out (0 = one thread per core);
+    /// latency only.
+    pub threads: usize,
 }
 
 impl EvalStrategy for ExactStrategy {
@@ -774,53 +743,60 @@ impl EvalStrategy for ExactStrategy {
         "exact (closed forms: Poisson-binomial COUNT, linearity-of-expectation SUM)".into()
     }
 
-    fn execute(&self, relation: &Relation, plan: &PhysicalPlan) -> Result<QueryOutput, DbError> {
-        match relation {
-            Relation::Deterministic(t) => {
-                if plan.threshold.is_some() || plan.top.is_some() {
-                    return Err(DbError::InvalidWorlds(format!(
-                        "THRESHOLD/TOP require a probabilistic relation; \
-                         {} is deterministic",
-                        plan.table
-                    )));
-                }
-                match &plan.action {
-                    PhysicalAction::Rows {
-                        columns,
-                        order_by,
-                        limit,
-                    } => Ok(QueryOutput::Rows(select_deterministic(
-                        t,
-                        &plan.predicate,
-                        columns,
-                        order_by.as_ref(),
-                        *limit,
-                    )?)),
-                    PhysicalAction::Aggregate(agg) => Ok(QueryOutput::Aggregate(
-                        aggregate_deterministic(t, &plan.predicate, agg)?,
-                    )),
-                }
+    fn execute(
+        &self,
+        source: TupleSource<'_>,
+        plan: &PhysicalPlan,
+    ) -> Result<QueryOutput, DbError> {
+        if !source.probabilistic() {
+            if plan.threshold.is_some() || plan.top.is_some() {
+                return Err(DbError::InvalidWorlds(format!(
+                    "THRESHOLD/TOP require a probabilistic relation; \
+                     {} is deterministic",
+                    plan.table
+                )));
             }
-            Relation::Probabilistic(t) => match &plan.action {
+            // A deterministic aggregate checks its plan before filtering.
+            if let PhysicalAction::Aggregate(agg) = &plan.action {
+                validate_aggregate_plan(agg)?;
+            }
+        }
+        let kept = restrict(source, plan, self.threads)?;
+        match (kept.relation.as_ref(), &plan.action) {
+            (
+                Relation::Deterministic(t),
                 PhysicalAction::Rows {
                     columns,
                     order_by,
                     limit,
-                } => {
-                    let keep = restrict_prob_indices(t, plan, &self.scan)?;
-                    Ok(QueryOutput::ProbRows(select_probabilistic(
-                        t,
-                        &keep,
-                        columns,
-                        order_by.as_ref(),
-                        *limit,
-                    )?))
-                }
-                PhysicalAction::Aggregate(agg) => {
-                    let keep = restrict_prob_indices(t, plan, &self.scan)?;
-                    Ok(QueryOutput::Aggregate(aggregate_exact(t, &keep, agg)?))
-                }
-            },
+                },
+            ) => Ok(QueryOutput::Rows(select_deterministic(
+                t,
+                &kept.keep,
+                columns,
+                order_by.as_ref(),
+                *limit,
+            )?)),
+            (Relation::Deterministic(t), PhysicalAction::Aggregate(agg)) => Ok(
+                QueryOutput::Aggregate(aggregate_deterministic(t, &kept.keep, agg)?),
+            ),
+            (
+                Relation::Probabilistic(t),
+                PhysicalAction::Rows {
+                    columns,
+                    order_by,
+                    limit,
+                },
+            ) => Ok(QueryOutput::ProbRows(select_probabilistic(
+                t,
+                &kept.keep,
+                columns,
+                order_by.as_ref(),
+                *limit,
+            )?)),
+            (Relation::Probabilistic(t), PhysicalAction::Aggregate(agg)) => {
+                Ok(QueryOutput::Aggregate(aggregate_exact(t, &kept.keep, agg)?))
+            }
         }
     }
 }
@@ -830,17 +806,16 @@ impl EvalStrategy for ExactStrategy {
 /// Group seeds derive deterministically from the clause seed and the
 /// group's canonical-order index (the global group keeps the clause seed
 /// itself), and each group runs the batched executor — so results stay
-/// bit-identical at every thread count, groups included.
+/// bit-identical at every thread count, groups included. Sampling always
+/// runs once over the restricted domain in relation order, so estimates
+/// are bit-identical with and without shards, resident or streamed.
 #[derive(Debug, Clone)]
 pub struct WorldsStrategy {
     /// The selecting `WITH WORLDS` clause.
     pub clause: WorldsClause,
-    /// Fork-join width (0 = one thread per core); latency only.
+    /// Fork-join width for sampling and the shard fan-out (0 = one thread
+    /// per core); latency only.
     pub threads: usize,
-    /// Scan-phase context (shard layout + fan-out width). Sampling always
-    /// runs once over the merged, shard-ordered domain, so estimates are
-    /// bit-identical with and without shards.
-    pub scan: ScanContext,
 }
 
 impl WorldsStrategy {
@@ -873,27 +848,29 @@ impl EvalStrategy for WorldsStrategy {
         s
     }
 
-    fn execute(&self, relation: &Relation, plan: &PhysicalPlan) -> Result<QueryOutput, DbError> {
-        let t = match relation {
-            Relation::Probabilistic(t) => t,
-            Relation::Deterministic(_) => {
-                return Err(DbError::InvalidWorlds(format!(
-                    "THRESHOLD/TOP/WITH WORLDS require a probabilistic relation; \
-                     {} is deterministic",
-                    plan.table
-                )));
-            }
-        };
+    fn execute(
+        &self,
+        source: TupleSource<'_>,
+        plan: &PhysicalPlan,
+    ) -> Result<QueryOutput, DbError> {
+        if !source.probabilistic() {
+            return Err(DbError::InvalidWorlds(format!(
+                "THRESHOLD/TOP/WITH WORLDS require a probabilistic relation; \
+                 {} is deterministic",
+                plan.table
+            )));
+        }
         let seed = self.clause.seed.unwrap_or(0);
         match &plan.action {
             PhysicalAction::Rows { columns, .. } => {
                 // Validate the projection exactly like the exact path —
                 // unknown columns error no matter how many are listed.
                 for col in columns {
-                    t.schema().index_of(col)?;
+                    source.schema().index_of(col)?;
                 }
-                let keep = restrict_prob_indices(t, plan, &self.scan)?;
-                let probs: Vec<f64> = keep.iter().map(|&i| t.probs()[i]).collect();
+                let kept = restrict(source, plan, self.threads)?;
+                let t = kept.prob_table();
+                let probs: Vec<f64> = kept.keep.iter().map(|&i| t.probs()[i]).collect();
                 // A single projected *numeric* column additionally requests
                 // the SUM aggregate over that column (the pre-planner
                 // heuristic, kept for compatibility; `SELECT SUM(col) …` is
@@ -903,7 +880,7 @@ impl EvalStrategy for WorldsStrategy {
                         crate::value::ColumnType::Text => None,
                         _ => Some((
                             col.as_str(),
-                            numeric_column(t.schema(), t.rows(), &keep, col)?,
+                            numeric_column(t.schema(), t.rows(), &kept.keep, col)?,
                         )),
                     },
                     _ => None,
@@ -915,10 +892,13 @@ impl EvalStrategy for WorldsStrategy {
                 )))
             }
             PhysicalAction::Aggregate(agg) => {
-                let keep = restrict_prob_indices(t, plan, &self.scan)?;
-                Ok(QueryOutput::Aggregate(
-                    self.aggregate_worlds(t, &keep, agg, seed)?,
-                ))
+                let kept = restrict(source, plan, self.threads)?;
+                Ok(QueryOutput::Aggregate(self.aggregate_worlds(
+                    kept.prob_table(),
+                    &kept.keep,
+                    agg,
+                    seed,
+                )?))
             }
         }
     }
@@ -1091,49 +1071,27 @@ pub struct SynopsisStrategy {
     synopses: Option<Arc<RelationSynopses>>,
     /// Why this plan shape has no synopsis answer (delegates to exact).
     fallback: Option<DbError>,
-    /// Scan-phase context handed to the exact fallback.
-    scan: ScanContext,
+    /// Fork-join width handed to the exact fallback.
+    threads: usize,
 }
 
 impl SynopsisStrategy {
     /// Builds the strategy for a plan, deciding up front — from the plan
     /// shape alone — whether it must fall back to exact evaluation.
-    pub fn new(
-        clause: SynopsisClause,
-        plan: &PhysicalPlan,
-        synopses: Option<Arc<RelationSynopses>>,
-    ) -> Self {
-        SynopsisStrategy::new_with_context(clause, plan, synopses, ScanContext::default())
-    }
-
-    /// [`SynopsisStrategy::new`] with a [`ScanContext`] for the exact
-    /// fallback path (so sharded relations keep their fan-out when the
-    /// synopsis cannot answer).
-    pub fn new_with_context(
-        clause: SynopsisClause,
-        plan: &PhysicalPlan,
-        synopses: Option<Arc<RelationSynopses>>,
-        scan: ScanContext,
-    ) -> Self {
-        let fallback = synopsis_support(plan).err();
+    pub fn new(clause: SynopsisClause, plan: &PhysicalPlan, ctx: ExecContext) -> Self {
         SynopsisStrategy {
             clause,
-            synopses,
-            fallback,
-            scan,
+            synopses: ctx.synopses,
+            fallback: synopsis_support(plan).err(),
+            threads: ctx.threads,
         }
     }
 
-    /// The exact strategy this one falls back to, sharing the scan context.
+    /// The exact strategy this one falls back to.
     fn exact(&self) -> ExactStrategy {
         ExactStrategy {
-            scan: self.scan.clone(),
+            threads: self.threads,
         }
-    }
-
-    /// The reason this plan falls back to exact evaluation, if any.
-    pub fn fallback_reason(&self) -> Option<&DbError> {
-        self.fallback.as_ref()
     }
 
     /// The synopsis snapshot answering this query at the requested bucket
@@ -1347,26 +1305,29 @@ impl EvalStrategy for SynopsisStrategy {
         s
     }
 
-    fn execute(&self, relation: &Relation, plan: &PhysicalPlan) -> Result<QueryOutput, DbError> {
-        if self.fallback.is_some() {
-            return self.exact().execute(relation, plan);
-        }
-        let t = match relation {
-            Relation::Probabilistic(t) => t,
+    fn execute(
+        &self,
+        source: TupleSource<'_>,
+        plan: &PhysicalPlan,
+    ) -> Result<QueryOutput, DbError> {
+        let agg = match (&self.fallback, &plan.action) {
             // Deterministic tables have no tuple probabilities to
             // summarise; exact answers them directly (and owns the
-            // THRESHOLD/TOP rejection).
-            Relation::Deterministic(_) => return self.exact().execute(relation, plan),
+            // THRESHOLD/TOP rejection). Row queries are unreachable
+            // through the planner (synopsis_support rejects them), kept
+            // total for hand-built plans.
+            (None, PhysicalAction::Aggregate(agg)) if source.probabilistic() => agg,
+            _ => return self.exact().execute(source, plan),
         };
-        let agg = match &plan.action {
-            PhysicalAction::Aggregate(agg) => agg,
-            // Unreachable through the planner (synopsis_support rejects row
-            // queries), kept total for hand-built plans.
-            PhysicalAction::Rows { .. } => return self.exact().execute(relation, plan),
+        // The synopsis answers from the whole relation; its staleness
+        // guard compares tuple counts against it.
+        let snapshot = source.into_resident(&plan.table)?;
+        let Relation::Probabilistic(t) = snapshot.relation.as_ref() else {
+            unreachable!("a probabilistic source materialises a probabilistic relation");
         };
         match self.try_synopsis(t, plan, agg)? {
             Some(result) => Ok(QueryOutput::Aggregate(result)),
-            None => self.exact().execute(relation, plan),
+            None => self.exact().execute(TupleSource::Resident(snapshot), plan),
         }
     }
 }
@@ -1537,93 +1498,132 @@ fn normal_count_tail(op: CmpOp, k: f64, mean: f64, variance: f64) -> f64 {
 // Shared physical operators (row pipeline)
 // ---------------------------------------------------------------------------
 
-/// Indices of rows satisfying the conjunction.
-fn filter_rows(
-    schema: &Schema,
-    rows: &[Vec<Value>],
-    probs: Option<&[f64]>,
-    pred: &Conjunction,
-) -> Result<Vec<usize>, DbError> {
-    let mut out = Vec::new();
-    for (i, row) in rows.iter().enumerate() {
-        let p = probs.map(|ps| ps[i]);
-        if eval_conjunction(schema, row, p, pred)? {
-            out.push(i);
-        }
-    }
-    Ok(out)
+/// The tuples a query works on after restriction: the relation they
+/// live in (the resident rung, or the survivors drained from a stream)
+/// and their indices into it, in the order `TOP` leaves them.
+pub(crate) struct Restricted {
+    relation: Arc<Relation>,
+    keep: Vec<usize>,
 }
 
-/// Shard-parallel [`filter_rows`]: prunable shards are skipped whole,
-/// the rest are filtered concurrently through the fork-join helpers, and
-/// the surviving indices are concatenated **in shard order** — shards are
-/// contiguous ascending index ranges, so the result is bit-identical to
-/// the sequential scan (the first error in row order wins there too:
-/// `try_map_segments` reports the first failing segment in order, and
-/// pruning only fires when the sequential evaluator provably could not
-/// have raised an error inside the pruned shard — see
-/// [`crate::shard::Zone::is_prunable`]).
-fn filter_rows_sharded(
-    t: &ProbTable,
-    plan: &PhysicalPlan,
-    shards: &ShardMap,
-    threads: usize,
-) -> Result<Vec<usize>, DbError> {
-    let schema = t.schema();
-    let segments = tspdb_stats::parallel::try_map_segments(
-        shards.shard_count(),
-        threads,
-        |range: std::ops::Range<usize>| {
-            let mut keep = Vec::new();
-            for shard in &shards.shards()[range] {
-                if shard.zone().is_prunable(schema, plan) {
-                    continue;
-                }
-                for i in shard.rows() {
-                    let p = t.probs()[i];
-                    if eval_conjunction(schema, &t.rows()[i], Some(p), &plan.predicate)? {
-                        keep.push(i);
-                    }
-                }
+impl Restricted {
+    /// The relation of a restricted probabilistic source.
+    fn prob_table(&self) -> &ProbTable {
+        match self.relation.as_ref() {
+            Relation::Probabilistic(t) => t,
+            Relation::Deterministic(_) => {
+                unreachable!("callers restrict only probabilistic sources here")
             }
-            Ok(keep)
-        },
-    )?;
-    Ok(segments.concat())
+        }
+    }
 }
 
-/// Indices of the tuples a probabilistic query works on: the `WHERE`
-/// filter, then `THRESHOLD` (minimum probability), then `TOP` (the k most
-/// probable, NaN-free total order, ties to the earlier row, returned in
-/// descending probability). Shared by every strategy so all evaluate the
-/// same sub-relation. When the scan context carries a [`ShardMap`] that
-/// still matches the relation, the filter step prunes and fans out across
-/// shards; `THRESHOLD`/`TOP` always run on the merged index list, so the
-/// result is identical either way.
-pub(crate) fn restrict_prob_indices(
-    t: &ProbTable,
+/// Whether one tuple survives the plan's `WHERE` conjunction and its
+/// `THRESHOLD` (deterministic tuples carry no probability to threshold).
+fn keeps(
+    schema: &Schema,
+    row: &[Value],
+    prob: Option<f64>,
     plan: &PhysicalPlan,
-    scan: &ScanContext,
+) -> Result<bool, DbError> {
+    Ok(eval_conjunction(schema, row, prob, &plan.predicate)?
+        && plan.threshold.zip(prob).is_none_or(|(tau, p)| p >= tau))
+}
+
+/// Indices in `range` of the tuples that survive [`keeps`].
+fn kept_in(
+    relation: &Relation,
+    range: std::ops::Range<usize>,
+    plan: &PhysicalPlan,
 ) -> Result<Vec<usize>, DbError> {
-    let shards = scan
-        .shards
-        .as_deref()
-        .filter(|s| s.covers(t) && s.shard_count() > 1);
-    let mut keep = match shards {
-        Some(shards) => filter_rows_sharded(t, plan, shards, scan.threads)?,
-        None => filter_rows(t.schema(), t.rows(), Some(t.probs()), &plan.predicate)?,
+    let (schema, rows, probs) = match relation {
+        Relation::Deterministic(t) => (t.schema(), t.rows(), None),
+        Relation::Probabilistic(t) => (t.schema(), t.rows(), Some(t.probs())),
     };
-    if let Some(tau) = plan.threshold {
-        if !(0.0..=1.0).contains(&tau) {
-            return Err(DbError::InvalidProbability(tau));
+    let mut keep = Vec::new();
+    for i in range {
+        if keeps(schema, &rows[i], probs.map(|p| p[i]), plan)? {
+            keep.push(i);
         }
-        keep.retain(|&i| t.probs()[i] >= tau);
-    }
-    if let Some(k) = plan.top {
-        crate::query::sort_indices_desc_by_prob(&mut keep, t.probs());
-        keep.truncate(k);
     }
     Ok(keep)
+}
+
+/// The one restriction operator every strategy calls: `WHERE` and
+/// `THRESHOLD` per tuple, then the τ range check, then `TOP` (the k most
+/// probable, NaN-free total order, ties to the earlier tuple, returned in
+/// descending probability), so all strategies evaluate the same
+/// sub-relation whatever the source.
+///
+/// * A resident relation with a [`crate::shard::ShardMap`] that still matches it skips
+///   the shards [`crate::shard::Zone::is_prunable`] rules out, filters
+///   the rest concurrently, and concatenates the survivors in shard
+///   order; unsharded ones filter in one pass.
+/// * A stream was already pruned leaf by leaf by the same rule; its
+///   survivors are drained into a relation of their own.
+///
+/// Tuples keep relation order in every arm and pruning only skips runs
+/// where no tuple could survive or raise an error, so the kept tuples
+/// and the first error (in tuple order, and ahead of a τ out of range)
+/// are identical across the three.
+pub(crate) fn restrict(
+    source: TupleSource<'_>,
+    plan: &PhysicalPlan,
+    threads: usize,
+) -> Result<Restricted, DbError> {
+    let (relation, mut keep) = match source {
+        TupleSource::Resident(RelationSnapshot { relation, shards }) => {
+            let keep = match (relation.as_ref(), shards.as_deref()) {
+                (Relation::Probabilistic(t), Some(map))
+                    if map.covers(t) && map.shard_count() > 1 =>
+                {
+                    tspdb_stats::parallel::try_map_segments(
+                        map.shard_count(),
+                        threads,
+                        |range: std::ops::Range<usize>| {
+                            let mut keep = Vec::new();
+                            for shard in &map.shards()[range] {
+                                if !shard.zone().is_prunable(t.schema(), plan) {
+                                    keep.extend(kept_in(&relation, shard.rows(), plan)?);
+                                }
+                            }
+                            Ok(keep)
+                        },
+                    )?
+                    .concat()
+                }
+                (rel, _) => kept_in(rel, 0..relation_len(rel), plan)?,
+            };
+            (relation, keep)
+        }
+        TupleSource::Stream(stream) => {
+            let survivors = drain(&plan.table, stream, |schema, row, prob| {
+                keeps(schema, row, prob, plan)
+            })?;
+            let keep = (0..relation_len(&survivors)).collect();
+            (Arc::new(survivors), keep)
+        }
+    };
+    if let Relation::Probabilistic(t) = relation.as_ref() {
+        if let Some(tau) = plan.threshold {
+            if !(0.0..=1.0).contains(&tau) {
+                return Err(DbError::InvalidProbability(tau));
+            }
+        }
+        if let Some(k) = plan.top {
+            crate::query::sort_indices_desc_by_prob(&mut keep, t.probs());
+            keep.truncate(k);
+        }
+    }
+    Ok(Restricted { relation, keep })
+}
+
+/// Tuple count of a relation of either kind.
+fn relation_len(relation: &Relation) -> usize {
+    match relation {
+        Relation::Deterministic(t) => t.len(),
+        Relation::Probabilistic(t) => t.len(),
+    }
 }
 
 /// Ordering key extraction shared by both row paths; `prob` addresses the
@@ -1659,16 +1659,15 @@ fn sort_indices(
     Ok(idx)
 }
 
-/// Row-returning execution over a deterministic table.
+/// Row-returning execution over the kept rows of a deterministic table.
 fn select_deterministic(
     t: &Table,
-    pred: &Conjunction,
+    keep: &[usize],
     columns: &[String],
     order_by: Option<&(String, bool)>,
     limit: Option<usize>,
 ) -> Result<Table, DbError> {
-    let filtered = filter_rows(t.schema(), t.rows(), None, pred)?;
-    let rows: Vec<Vec<Value>> = filtered.iter().map(|&i| t.rows()[i].clone()).collect();
+    let rows: Vec<Vec<Value>> = keep.iter().map(|&i| t.rows()[i].clone()).collect();
     let mut order: Vec<usize> = (0..rows.len()).collect();
     if let Some(ob) = order_by {
         order = sort_indices(t.schema(), &rows, None, ob)?;
@@ -2046,20 +2045,19 @@ fn aggregate_exact(
     })
 }
 
-/// Classic SQL aggregation over a deterministic table; `HAVING` filters
+/// Classic SQL aggregation over the kept rows of a deterministic table
+/// (the caller validated the plan); `HAVING` filters
 /// groups (every world is the same world, so the event either holds or
 /// does not).
 fn aggregate_deterministic(
     t: &Table,
-    pred: &Conjunction,
+    keep: &[usize],
     plan: &AggregatePlan,
 ) -> Result<AggregateResult, DbError> {
-    validate_aggregate_plan(plan)?;
-    let keep = filter_rows(t.schema(), t.rows(), None, pred)?;
     let groups = group_rows(
         t.schema(),
         t.rows(),
-        &keep,
+        keep,
         plan.window.as_ref(),
         &plan.group_by,
     )?;
@@ -2137,6 +2135,7 @@ fn aggregate_deterministic(
 mod tests {
     use super::*;
     use crate::query::CmpOp;
+    use crate::shard::ShardMap;
     use crate::sql::parse;
     use crate::value::ColumnType;
 
@@ -2145,6 +2144,21 @@ mod tests {
             crate::sql::Statement::Select(sel) => Planner::plan(&sel).unwrap(),
             other => panic!("not a SELECT: {other:?}"),
         }
+    }
+
+    fn ctx(threads: usize) -> ExecContext {
+        ExecContext {
+            threads,
+            synopses: None,
+        }
+    }
+
+    /// An unsharded resident source over a copy of `rel`.
+    fn source(rel: &Relation) -> TupleSource<'static> {
+        TupleSource::Resident(RelationSnapshot {
+            relation: Arc::new(rel.clone()),
+            shards: None,
+        })
     }
 
     fn plan_err(sql: &str) -> DbError {
@@ -2255,7 +2269,10 @@ mod tests {
 
     fn run(sql: &str, rel: &Relation) -> QueryOutput {
         let planned = plan_sql(sql);
-        planned.strategy(1).execute(rel, &planned.physical).unwrap()
+        planned
+            .strategy(ctx(1))
+            .execute(source(rel), &planned.physical)
+            .unwrap()
     }
 
     #[test]
@@ -2377,12 +2394,12 @@ mod tests {
                    HAVING COUNT(*) >= 1 WITH WORLDS 40000 SEED 21";
         let planned = plan_sql(sql);
         let one = planned
-            .strategy(1)
-            .execute(&rel, &planned.physical)
+            .strategy(ctx(1))
+            .execute(source(&rel), &planned.physical)
             .unwrap();
         let eight = planned
-            .strategy(8)
-            .execute(&rel, &planned.physical)
+            .strategy(ctx(8))
+            .execute(source(&rel), &planned.physical)
             .unwrap();
         let (one, eight) = match (&one, &eight) {
             (QueryOutput::Aggregate(a), QueryOutput::Aggregate(b)) => (a, b),
@@ -2448,8 +2465,8 @@ mod tests {
         let rel = Relation::Probabilistic(v);
         let planned = plan_sql("SELECT COUNT(*) FROM pv GROUP BY WINDOW(tag, 2)");
         let err = planned
-            .strategy(1)
-            .execute(&rel, &planned.physical)
+            .strategy(ctx(1))
+            .execute(source(&rel), &planned.physical)
             .unwrap_err();
         assert!(matches!(err, DbError::TypeMismatch { .. }));
     }
@@ -2574,12 +2591,12 @@ mod tests {
                    HAVING COUNT(*) >= 1 WITH WORLDS 40000 SEED 11";
         let planned = plan_sql(sql);
         let one = planned
-            .strategy(1)
-            .execute(&rel, &planned.physical)
+            .strategy(ctx(1))
+            .execute(source(&rel), &planned.physical)
             .unwrap();
         let eight = planned
-            .strategy(8)
-            .execute(&rel, &planned.physical)
+            .strategy(ctx(8))
+            .execute(source(&rel), &planned.physical)
             .unwrap();
         let (one, eight) = match (&one, &eight) {
             (QueryOutput::Aggregate(a), QueryOutput::Aggregate(b)) => (a, b),
@@ -2650,8 +2667,8 @@ mod tests {
         let rel = Relation::Probabilistic(v);
         let planned = plan_sql("SELECT SUM(tag) FROM pv");
         let err = planned
-            .strategy(1)
-            .execute(&rel, &planned.physical)
+            .strategy(ctx(1))
+            .execute(source(&rel), &planned.physical)
             .unwrap_err();
         assert!(matches!(err, DbError::TypeMismatch { .. }));
     }
@@ -2729,7 +2746,6 @@ mod tests {
                             confidence: None,
                         },
                         threads: 1,
-                        scan: ScanContext::default(),
                     }) as Box<dyn EvalStrategy>,
                     &rel,
                 ),
@@ -2740,13 +2756,16 @@ mod tests {
                             max_error: None,
                         },
                         &physical,
-                        None,
+                        ExecContext::default(),
                     )) as Box<dyn EvalStrategy>,
                     &rel,
                 ),
             ] {
                 assert!(
-                    matches!(strategy.execute(relation, &physical), Err(DbError::Plan(_))),
+                    matches!(
+                        strategy.execute(source(relation), &physical),
+                        Err(DbError::Plan(_))
+                    ),
                     "{} strategy accepted an invalid plan",
                     strategy.name()
                 );
@@ -2774,7 +2793,7 @@ mod tests {
             relation: "pv: probabilistic (6 tuples)".into(),
             logical: planned.logical.to_string(),
             physical: planned.physical.to_string(),
-            strategy: planned.strategy(0).describe(),
+            strategy: planned.strategy(ctx(0)).describe(),
         };
         let text = report.to_string();
         assert!(text.contains("Aggregate [COUNT(*)]"), "{text}");
@@ -2833,6 +2852,87 @@ mod tests {
         }
     }
 
+    /// An in-memory leaf stream: `v` split into leaves of eight tuples,
+    /// those whose zone map rules them out under `plan` skipped, the way
+    /// the paged store streams an on-disk relation.
+    struct LeafStream {
+        schema: Schema,
+        tuples: std::vec::IntoIter<(Vec<Value>, f64)>,
+    }
+
+    impl LeafStream {
+        fn open(v: &ProbTable, plan: &PhysicalPlan) -> TupleSource<'static> {
+            let mut tuples = Vec::new();
+            for start in (0..v.len()).step_by(8) {
+                let end = (start + 8).min(v.len());
+                let zone =
+                    crate::Zone::build(v.schema(), &v.rows()[start..end], &v.probs()[start..end]);
+                if !zone.is_prunable(v.schema(), plan) {
+                    tuples.extend((start..end).map(|i| (v.rows()[i].clone(), v.probs()[i])));
+                }
+            }
+            TupleSource::Stream(Box::new(LeafStream {
+                schema: v.schema().clone(),
+                tuples: tuples.into_iter(),
+            }))
+        }
+    }
+
+    impl crate::catalog::TupleStream for LeafStream {
+        fn schema(&self) -> &Schema {
+            &self.schema
+        }
+
+        fn probabilistic(&self) -> bool {
+            true
+        }
+
+        fn next_tuple(&mut self) -> Result<Option<crate::StreamedTuple>, DbError> {
+            Ok(self.tuples.next().map(|(row, p)| (row, Some(p))))
+        }
+    }
+
+    /// The kept tuples of a restriction, in kept order, or its error.
+    fn kept_tuples(restricted: Result<Restricted, DbError>) -> String {
+        match restricted {
+            Ok(r) => {
+                let t = r.prob_table();
+                let tuples: Vec<_> = r.keep.iter().map(|&i| t.tuple(i)).collect();
+                format!("{tuples:?}")
+            }
+            Err(e) => format!("error: {e:?}"),
+        }
+    }
+
+    /// Restricts `v` under `plan` flat, through a leaf stream, and sharded
+    /// at several shard counts and widths; every answer must match the
+    /// flat one. Returns the flat answer.
+    fn restrict_every_way(v: &ProbTable, plan: &PhysicalPlan) -> String {
+        let sql = plan.to_string();
+        let flat = kept_tuples(restrict(
+            source(&Relation::Probabilistic(v.clone())),
+            plan,
+            1,
+        ));
+        let streamed = kept_tuples(restrict(LeafStream::open(v, plan), plan, 1));
+        assert_eq!(flat, streamed, "{sql} streamed");
+        for shard_count in [2, 3, 8, 64] {
+            let shards = Arc::new(ShardMap::build(v, "t", shard_count).unwrap());
+            for threads in [1, 4] {
+                let source = TupleSource::Resident(RelationSnapshot {
+                    relation: Arc::new(Relation::Probabilistic(v.clone())),
+                    shards: Some(Arc::clone(&shards)),
+                });
+                let sharded = kept_tuples(restrict(source, plan, threads));
+                assert_eq!(
+                    flat, sharded,
+                    "{sql} @ {shard_count} shards, {threads} threads"
+                );
+            }
+        }
+        flat
+    }
+
     #[test]
     fn sharded_restriction_is_bit_identical_to_sequential() {
         let v = synth(103);
@@ -2844,55 +2944,61 @@ mod tests {
             "SELECT t FROM pv WHERE prob >= 0.6 TOP 7",
             "SELECT t FROM pv WHERE t = 1000",
             "SELECT t FROM pv WHERE t = 1000 AND bogus = 1",
+            // Probabilities repeat every 97 tuples: 0.88 sits at t = 5 and
+            // t = 102, so TOP 10 breaks a tie, to the earlier tuple.
+            "SELECT t FROM pv TOP 10",
+            "SELECT t FROM pv WHERE t >= 3 THRESHOLD 0.5 TOP 12",
         ];
         for sql in statements {
-            let plan = plan_sql(sql).physical;
-            let flat = restrict_prob_indices(&v, &plan, &ScanContext::default());
-            for shard_count in [2, 3, 8, 64] {
-                let shards = Arc::new(ShardMap::build(&v, "t", shard_count).unwrap());
-                for threads in [1, 4] {
-                    let scan = ScanContext {
-                        threads,
-                        shards: Some(Arc::clone(&shards)),
-                    };
-                    let sharded = restrict_prob_indices(&v, &plan, &scan);
-                    assert_eq!(
-                        format!("{flat:?}"),
-                        format!("{sharded:?}"),
-                        "{sql} @ {shard_count} shards, {threads} threads"
-                    );
-                }
-            }
+            restrict_every_way(&v, &plan_sql(sql).physical);
         }
+        let top = restrict_every_way(&v, &plan_sql("SELECT t FROM pv TOP 10").physical);
+        assert!(
+            top.ends_with("([Int(5), Float(1.25)], 0.88), ([Int(102), Float(25.5)], 0.88)]"),
+            "{top}"
+        );
     }
 
     #[test]
     fn sharded_restriction_reproduces_filter_errors() {
         // Every row reaches the unresolvable second comparison (t >= 0
-        // always holds), so both paths must raise UnknownColumn — pruning
-        // must not short-circuit the error away.
+        // always holds), so every path must raise UnknownColumn — pruning
+        // must not short-circuit the error away, and the predicate error
+        // wins over a τ out of range.
+        // (The parser rejects a τ out of range, so those plans are
+        // hand-built.)
         let v = synth(64);
-        let plan = plan_sql("SELECT t FROM pv WHERE t >= 0 AND bogus = 1").physical;
-        let shards = Arc::new(ShardMap::build(&v, "t", 8).unwrap());
-        let scan = ScanContext {
-            threads: 4,
-            shards: Some(shards),
+        let with_tau = |sql: &str, tau: f64| PhysicalPlan {
+            threshold: Some(tau),
+            ..plan_sql(sql).physical
         };
-        let flat = restrict_prob_indices(&v, &plan, &ScanContext::default()).unwrap_err();
-        let sharded = restrict_prob_indices(&v, &plan, &scan).unwrap_err();
-        assert_eq!(format!("{flat:?}"), format!("{sharded:?}"));
-        assert!(matches!(sharded, DbError::UnknownColumn(_)));
+        let bogus = "SELECT t FROM pv WHERE t >= 0 AND bogus = 1";
+        for plan in [plan_sql(bogus).physical, with_tau(bogus, 1.5)] {
+            let error = restrict_every_way(&v, &plan);
+            assert!(error.starts_with("error: UnknownColumn"), "{plan}: {error}");
+        }
+        // A τ out of range errors once no predicate does, on every path.
+        for plan in [
+            with_tau("SELECT t FROM pv", 1.5),
+            with_tau("SELECT t FROM pv WHERE t > 1000", -0.5),
+        ] {
+            let error = restrict_every_way(&v, &plan);
+            assert!(
+                error.starts_with("error: InvalidProbability"),
+                "{plan}: {error}"
+            );
+        }
     }
 
     #[test]
     fn synopsis_planner_selects_the_strategy() {
         let planned = plan_sql("SELECT COUNT(*) FROM pv WITH SYNOPSIS BUCKETS 8 MAXERROR 0.5");
         assert!(matches!(planned.strategy, StrategyKind::Synopsis(_)));
-        let described = planned.strategy(0).describe();
+        let described = planned.strategy(ctx(0)).describe();
         for part in ["synopsis", "buckets=8", "bands=20", "maxerror=0.5"] {
             assert!(described.contains(part), "{described} missing {part}");
         }
-        assert_eq!(planned.strategy(0).name(), "synopsis");
+        assert_eq!(planned.strategy(ctx(0)).name(), "synopsis");
     }
 
     #[test]
@@ -3013,15 +3119,15 @@ mod tests {
             ),
         ] {
             let planned = plan_sql(sql);
-            let described = planned.strategy(0).describe();
+            let described = planned.strategy(ctx(0)).describe();
             assert!(
                 described.contains("falls back to exact") && described.contains(reason),
                 "{sql}: {described}"
             );
             // The fallback executes — and reports itself as exact.
             match planned
-                .strategy(0)
-                .execute(&rel, &planned.physical)
+                .strategy(ctx(0))
+                .execute(source(&rel), &planned.physical)
                 .unwrap()
             {
                 QueryOutput::Aggregate(a) => assert_eq!(a.strategy, "exact"),
@@ -3032,9 +3138,9 @@ mod tests {
         // Supported shapes do not advertise a fallback.
         let planned = plan_sql("SELECT COUNT(*) FROM pv THRESHOLD 0.3 WITH SYNOPSIS");
         assert!(
-            !planned.strategy(0).describe().contains("falls back"),
+            !planned.strategy(ctx(0)).describe().contains("falls back"),
             "{}",
-            planned.strategy(0).describe()
+            planned.strategy(ctx(0)).describe()
         );
     }
 
@@ -3068,8 +3174,11 @@ mod tests {
         let planned = plan_sql(sql);
         let cached = Arc::new(RelationSynopses::build(&table, 64));
         let out = planned
-            .strategy_with_synopses(1, Some(cached))
-            .execute(&rel, &planned.physical)
+            .strategy(ExecContext {
+                threads: 1,
+                synopses: Some(cached),
+            })
+            .execute(source(&rel), &planned.physical)
             .unwrap();
         let QueryOutput::Aggregate(c) = out else {
             panic!("wrong output");

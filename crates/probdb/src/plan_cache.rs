@@ -176,17 +176,17 @@ mod tests {
         let db = db_with_table();
         let a = "SELECT k FROM kv WHERE k >= 1";
         let b = "select   k from kv where k >= 1";
-        db.query_cached(a).unwrap();
+        db.query(a).unwrap();
         let stats = db.plan_cache_stats();
         assert_eq!((stats.hits, stats.misses), (0, 1));
         // The variant parses to the same normalized statement: a hit, and
         // its raw text is aliased for next time.
-        db.query_cached(b).unwrap();
+        db.query(b).unwrap();
         let stats = db.plan_cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         // Exact repeats of either spelling skip the parser (raw-key hit).
-        db.query_cached(a).unwrap();
-        db.query_cached(b).unwrap();
+        db.query(a).unwrap();
+        db.query(b).unwrap();
         assert_eq!(db.plan_cache_stats().hits, 3);
     }
 
@@ -194,7 +194,7 @@ mod tests {
     fn appends_keep_cached_plans_but_bump_the_data_generation() {
         let mut db = db_with_table();
         let sql = "SELECT k FROM kv";
-        db.query_cached(sql).unwrap();
+        db.query(sql).unwrap();
         let (g, dg) = (db.generation(), db.data_generation());
         db.execute("INSERT INTO kv VALUES (3, 3.5)").unwrap();
         assert_eq!(
@@ -209,7 +209,7 @@ mod tests {
         // The plan survived — and it serves the post-append answer,
         // because execution resolves the relation at run time.
         assert!(db.cached_plan(sql).is_some(), "append evicted the plan");
-        let out = db.query_cached(sql).unwrap();
+        let out = db.query(sql).unwrap();
         assert_eq!(out.rows().unwrap().len(), 3);
         let stats = db.plan_cache_stats();
         assert_eq!((stats.misses, stats.invalidations), (1, 0));
@@ -219,35 +219,29 @@ mod tests {
     fn drop_table_invalidates_and_errors_resurface() {
         let mut db = db_with_table();
         let sql = "SELECT k FROM kv";
-        db.query_cached(sql).unwrap();
+        db.query(sql).unwrap();
         db.execute("DROP TABLE kv").unwrap();
         assert!(db.cached_plan(sql).is_none());
-        assert!(matches!(
-            db.query_cached(sql),
-            Err(DbError::UnknownTable(_))
-        ));
+        assert!(matches!(db.query(sql), Err(DbError::UnknownTable(_))));
         // Re-created with a different schema: the cached SELECT must plan
         // fresh and see the new shape, not replay the old answer.
         db.execute("CREATE TABLE kv (kk INT)").unwrap();
         db.execute("INSERT INTO kv VALUES (7)").unwrap();
-        assert!(matches!(
-            db.query_cached(sql),
-            Err(DbError::UnknownColumn(_))
-        ));
+        assert!(matches!(db.query(sql), Err(DbError::UnknownColumn(_))));
     }
 
     #[test]
     fn eviction_is_coldest_first_and_capacity_bounded() {
         let db = db_with_table();
         let hot = "SELECT k FROM kv WHERE k >= 0";
-        db.query_cached(hot).unwrap();
+        db.query(hot).unwrap();
         // Keep the hot statement warm while a storm of one-off statements
         // churns through every cache slot many times over.
         for i in 0..4_000 {
-            db.query_cached(&format!("SELECT k FROM kv WHERE k = {i}"))
+            db.query(&format!("SELECT k FROM kv WHERE k = {i}"))
                 .unwrap();
             if i % 16 == 0 {
-                db.query_cached(hot).unwrap();
+                db.query(hot).unwrap();
             }
         }
         let stats = db.plan_cache_stats();
@@ -277,9 +271,10 @@ mod tests {
             let out = if op <= 2 {
                 db.execute(&sql).map(|o| format!("{o:?}"))
             } else if cached {
-                db.query_cached(&sql).map(|o| format!("{o:?}"))
-            } else {
                 db.query(&sql).map(|o| format!("{o:?}"))
+            } else {
+                // `execute` plans a SELECT fresh, bypassing the cache.
+                db.execute(&sql).map(|o| format!("{o:?}"))
             };
             out.map_err(|e| format!("{e:?}"))
         }

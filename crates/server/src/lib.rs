@@ -37,11 +37,12 @@
 //!   state forever.
 //! * Sessions own a prepared-statement map (`Prepare` plans a `SELECT`
 //!   once — through the engine's shared plan cache — and `Execute`
-//!   replays the plan through
-//!   [`Database::execute_planned_with_threads`]) and a session-scoped
-//!   `WITH WORLDS` fork-join override that never touches shared state.
-//!   Ad-hoc `Query` text is also answered from the plan cache when the
-//!   catalog generation still matches, skipping parse and plan entirely.
+//!   replays the plan through [`SharedEngine::execute_read`], the engine's
+//!   one read path) and a session-scoped `WITH WORLDS` fork-join override
+//!   that never touches shared state. Ad-hoc `Query` text takes the same
+//!   path, answered from the plan cache when the catalog generation still
+//!   matches, skipping parse and plan entirely. Reads of a resident
+//!   relation execute after the catalog read lock is released.
 //! * **TAIL continuous queries**: a [`tspdb_ingest::TailRegistry`] shared
 //!   by the workers holds every standing `TAIL SELECT ... GROUP BY
 //!   WINDOW(...)` query. After each request a worker polls the registry
@@ -51,9 +52,6 @@
 //!   path replies travel; the loop appends them to write buffers under
 //!   the usual backpressure rules. Subscriptions die with their
 //!   connection.
-//!
-//! [`Database::execute_planned_with_threads`]:
-//! tspdb_probdb::Database::execute_planned_with_threads
 //!
 //! ## Quick start
 //!
@@ -93,9 +91,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tspdb_core::{CoreError, SharedEngine};
 use tspdb_ingest::{TailEvent, TailRegistry, TailToken};
-use tspdb_probdb::plan::{PlannedQuery, Planner};
-use tspdb_probdb::sql::SelectStmt;
-use tspdb_probdb::{parse, DbError, QueryOutput, Statement};
+use tspdb_probdb::{DbError, QueryOutput, ReadPlan};
 use tspdb_wire::{
     decode_message, write_frame, Request, Response, StatementId, Wire, WireError, MAX_FRAME_LEN,
     PROTOCOL_VERSION,
@@ -1059,21 +1055,13 @@ fn parse_one_frame(conn: &mut Connection) -> Parsed {
     }
 }
 
-/// A prepared statement held by one session.
-enum Prepared {
-    /// A planned `SELECT` — an immutable snapshot out of the shared plan
-    /// cache; executing replays it without parsing or planning again.
-    Select(Arc<PlannedQuery>),
-    /// An `EXPLAIN` — re-reported per execute so the relation annotation
-    /// reflects the current catalog (boxed: the statement AST dwarfs the
-    /// `Arc` in the other variant).
-    Explain(Box<SelectStmt>),
-}
-
 /// Per-connection state: the prepared-statement map and the session's
 /// `WITH WORLDS` fork-join override.
 struct Session {
-    prepared: HashMap<u64, Prepared>,
+    /// Prepared `SELECT`s and `EXPLAIN`s — an `EXPLAIN` report is rebuilt
+    /// per execute, so its relation annotation reflects the current
+    /// catalog.
+    prepared: HashMap<u64, ReadPlan>,
     next_statement: u64,
     worlds_threads: Option<usize>,
 }
@@ -1096,28 +1084,19 @@ fn core_to_db(e: CoreError) -> DbError {
     }
 }
 
-/// Runs one SQL statement with session-level routing: `SELECT`s are
-/// answered through the shared plan cache (an exact textual repeat skips
-/// the parser entirely), `EXPLAIN` under the read lock, everything else
+/// Runs one SQL statement with session-level routing: reads through the
+/// engine's one read path, planned through the shared plan cache (an
+/// exact textual repeat skips the parser entirely), everything else
 /// through the engine's write path.
 fn run_sql(engine: &SharedEngine, session: &Session, sql: &str) -> Result<QueryOutput, DbError> {
-    {
-        let db = engine.read();
-        if let Some(plan) = db.cached_plan(sql) {
-            return db.execute_planned_with_threads(&plan, session.worlds_threads);
-        }
-    }
-    match parse(sql)? {
-        Statement::Select(sel) => {
-            let db = engine.read();
-            let plan = db.plan_select_cached(sql, &sel)?;
-            db.execute_planned_with_threads(&plan, session.worlds_threads)
-        }
-        Statement::Explain(sel) => engine.read().explain_select(&sel),
+    let plan = engine.read().plan_read(sql)?;
+    match plan {
         // Writes carry the original SQL text alongside the parsed form so
         // a persistent engine can journal the text to its WAL.
-        other => engine.execute_sql_statement(sql, other).map_err(core_to_db),
+        ReadPlan::Other(stmt) => engine.execute_sql_statement(sql, *stmt),
+        read => engine.execute_read(&read, session.worlds_threads),
     }
+    .map_err(core_to_db)
 }
 
 /// Builds the response to one post-handshake request; the bool is
@@ -1135,20 +1114,11 @@ fn respond(engine: &SharedEngine, session: &mut Session, req: Request) -> (Respo
             Err(e) => (Response::Error(e), true),
         },
         Request::Prepare { sql } => {
-            let prepared = match parse(&sql) {
-                Ok(Statement::Select(sel)) => engine
-                    .read()
-                    .plan_select_cached(&sql, &sel)
-                    .map(Prepared::Select),
-                Ok(Statement::Explain(sel)) => {
-                    // Validate now so Prepare surfaces plan errors; the
-                    // report itself is rebuilt per execute.
-                    Planner::plan(&sel).map(|_| Prepared::Explain(Box::new(sel)))
-                }
-                Ok(other) => Err(DbError::ReadOnly(format!(
+            let prepared = match engine.read().plan_read(&sql) {
+                Ok(ReadPlan::Other(other)) => Err(DbError::ReadOnly(format!(
                     "only read-only statements can be prepared: {other:?}"
                 ))),
-                Err(e) => Err(e),
+                read => read,
             };
             match prepared {
                 Ok(p) => {
@@ -1167,10 +1137,9 @@ fn respond(engine: &SharedEngine, session: &mut Session, req: Request) -> (Respo
         }
         Request::Execute { statement } => {
             let result = match session.prepared.get(&statement.0) {
-                Some(Prepared::Select(planned)) => engine
-                    .read()
-                    .execute_planned_with_threads(planned, session.worlds_threads),
-                Some(Prepared::Explain(sel)) => engine.read().explain_select(sel),
+                Some(plan) => engine
+                    .execute_read(plan, session.worlds_threads)
+                    .map_err(core_to_db),
                 None => Err(DbError::Unsupported(format!(
                     "unknown prepared statement {statement}"
                 ))),

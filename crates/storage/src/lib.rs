@@ -172,6 +172,9 @@ struct MetaInfo {
 /// lazily ([`Storage::scan_stream`]): a stream outliving **two**
 /// checkpoints may observe reused slots; the engine layer prevents this
 /// by excluding checkpoints while queries run (its catalog RwLock).
+/// Streams opened through [`ScanSource::scan_stream`] borrow the source
+/// they came from, so a stream the catalog hands out cannot outlive the
+/// catalog guard it was opened under.
 #[derive(Debug)]
 pub struct Storage {
     dir: PathBuf,
@@ -783,17 +786,13 @@ impl TupleStream for RelationStream {
 }
 
 impl ScanSource for Storage {
-    fn scan(&self, name: &str) -> Result<Option<Relation>, DbError> {
-        Storage::scan(self, name).map_err(DbError::from)
-    }
-
-    fn scan_stream(
-        &self,
+    fn scan_stream<'a>(
+        &'a self,
         name: &str,
         restriction: Option<&PhysicalPlan>,
-    ) -> Result<Option<Box<dyn TupleStream>>, DbError> {
+    ) -> Result<Option<Box<dyn TupleStream + 'a>>, DbError> {
         Ok(Storage::scan_stream(self, name, restriction)
-            .map(|s| Box::new(s) as Box<dyn TupleStream>))
+            .map(|s| Box::new(s) as Box<dyn TupleStream + 'a>))
     }
 
     fn names(&self) -> Vec<String> {

@@ -9,6 +9,7 @@ use tspdb::core::storage::{CheckpointCrashPoint, CrashPoint};
 use tspdb::probdb::{QueryOutput, Value};
 use tspdb::timeseries::generate::TemperatureGenerator;
 use tspdb::{MetricConfig, SharedEngine, ViewBuilderConfig};
+use tspdb_ingest::{TailEvent, TailRegistry};
 
 /// Minimal self-cleaning temp dir (no external crates in the offline
 /// build).
@@ -330,38 +331,86 @@ fn disk_backed_scans_are_bit_identical_to_resident_ones() {
     }
 }
 
+/// Runs `read` and counts the pages it requested through the cache.
+fn page_requests<T>(engine: &SharedEngine, read: impl FnOnce() -> T) -> (u64, T) {
+    let storage = engine.storage().unwrap();
+    let before = storage.cache_stats();
+    let out = read();
+    let after = storage.cache_stats();
+    let requested = (after.hits + after.misses) - (before.hits + before.misses);
+    (requested, out)
+}
+
 /// Zone maps make a ranged query over an evicted view read only the
-/// leaves its `WHERE` can match; an unfiltered one requests every leaf,
-/// and no interior page, through the page cache.
+/// leaves its `WHERE` can match — whichever read path runs it: a one-shot
+/// query, the engine's read method, or a TAIL poll. An unfiltered one
+/// requests every leaf, and no interior page, through the page cache. A
+/// query an evicted deterministic table must refuse reads no page at all.
 #[test]
 fn ranged_scans_request_only_the_leaves_their_where_can_match() {
     let dir = TempDir::new();
     let engine = reopen(&dir);
     build_wide_view(&engine);
+    let refused = [
+        "SELECT * FROM raw_values THRESHOLD 0.5",
+        "SELECT * FROM raw_values WITH WORLDS 10 SEED 1",
+    ];
+    let resident: Vec<String> = refused.iter().map(|q| outcome(&engine, q)).collect();
+    // Evict `pv` last: evicting checkpoints first (see above).
+    engine.evict_to_disk("raw_values").unwrap();
     engine.evict_to_disk("pv").unwrap();
     let leaves = leaf_time_bounds(&engine);
     let n = leaves.len() as u64;
     let (first, last) = (leaves[0].0, leaves[leaves.len() - 1].1);
-    let storage = engine.storage().unwrap();
-    let requests = |sql: &str| {
-        let before = storage.cache_stats();
-        engine.query(sql).unwrap();
-        let after = storage.cache_stats();
-        (after.hits + after.misses) - (before.hits + before.misses)
-    };
+    let requests = |sql: &str| page_requests(&engine, || engine.query(sql).unwrap()).0;
 
     assert_eq!(requests("SELECT COUNT(*) FROM pv"), n);
     let span = last - first;
     let a = first + span / 2;
     let b = a + span / 20;
-    let ranged = requests(&format!(
-        "SELECT COUNT(*) FROM pv WHERE t >= {a} AND t < {b}"
-    ));
+    let ranged = format!("SELECT COUNT(*) FROM pv WHERE t >= {a} AND t < {b}");
+    let one_shot = requests(&ranged);
     assert!(
-        ranged * 10 <= n,
-        "a 5% range requested {ranged} of {n} leaves"
+        one_shot * 10 <= n,
+        "a 5% range requested {one_shot} of {n} leaves"
     );
-    assert!(ranged > 0, "the range holds tuples");
+    assert!(one_shot > 0, "the range holds tuples");
+
+    // The engine's one read method, fed a plan from the plan cache.
+    let plan = engine.read().plan_read(&ranged).unwrap();
+    let (read, _) = page_requests(&engine, || engine.execute_read(&plan, None).unwrap());
+    assert_eq!(
+        read, one_shot,
+        "the read method requested {read} of {n} leaves"
+    );
+
+    // A TAIL poll re-runs its ranged standing query the same way.
+    let tails = TailRegistry::new();
+    tails
+        .subscribe_sql(&format!(
+            "TAIL SELECT COUNT(*) FROM pv WHERE t >= {a} AND t < {b} GROUP BY WINDOW(t, 1)"
+        ))
+        .unwrap();
+    let (polled, events) = page_requests(&engine, || tails.poll(&engine));
+    assert!(!events.is_empty(), "the range closes buckets");
+    for event in &events {
+        assert!(matches!(event, TailEvent::Frame(_)), "{event:?}");
+    }
+    assert_eq!(
+        polled, one_shot,
+        "a TAIL poll requested {polled} of {n} leaves"
+    );
+
+    // The deterministic table refuses THRESHOLD and WITH WORLDS before
+    // reading a page, with the error it raises when resident.
+    for (q, expected) in refused.iter().zip(&resident) {
+        assert!(expected.starts_with("error"), "{q}: {expected}");
+        assert_eq!(
+            page_requests(&engine, || outcome(&engine, q)),
+            (0, expected.clone()),
+            "{q}"
+        );
+    }
 }
 
 #[test]

@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Mutex;
 use std::time::Instant;
 use tspdb_core::sigma_cache::{SigmaCache, SigmaCacheConfig};
-use tspdb_core::{Engine, MetricConfig, OmegaSpec, SharedEngine, ViewBuilderConfig};
+use tspdb_core::{MetricConfig, OmegaSpec, SharedEngine, ViewBuilderConfig};
 use tspdb_timeseries::generate::TemperatureGenerator;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -104,7 +104,7 @@ fn bench_select_scaling(c: &mut Criterion) {
     let series = TemperatureGenerator::default().generate(360);
 
     // Baseline: one engine behind a Mutex — SELECTs serialize.
-    let mut engine = Engine::new(view_config());
+    let engine = SharedEngine::new(view_config());
     engine.load_series("raw_values", "r", &series).unwrap();
     engine
         .execute("CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.1, n=20 FROM raw_values")

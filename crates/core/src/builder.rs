@@ -66,12 +66,10 @@ pub struct ModelRow {
     pub sigma: f64,
 }
 
-/// A materialised probabilistic view plus build diagnostics.
+/// Diagnostics of one Ω-view build; [`OmegaViewBuilder::build`] returns
+/// them next to the view itself.
 #[derive(Debug, Clone)]
-pub struct BuiltView {
-    /// The tuple-independent view: schema `(t, lambda, lo, hi)` with a
-    /// probability per row — the paper's `prob_view`.
-    pub view: ProbTable,
+pub struct BuildReport {
     /// The model table backing the view.
     pub model: Vec<ModelRow>,
     /// σ-cache statistics when a cache was used.
@@ -129,13 +127,17 @@ impl OmegaViewBuilder {
     /// the whole series). Window history may extend before the bound —
     /// the interval restricts which tuples are *emitted*, matching the
     /// `WHERE` semantics of the paper's Fig. 7 query.
+    ///
+    /// Returns the tuple-independent view — schema `(t, lambda, lo, hi)`
+    /// with a probability per row, the paper's `prob_view` — and the
+    /// build's diagnostics.
     pub fn build(
         &self,
         series: &TimeSeries,
         omega: OmegaSpec,
         view_name: &str,
         time_bounds: Option<(i64, i64)>,
-    ) -> Result<BuiltView, CoreError> {
+    ) -> Result<(ProbTable, BuildReport), CoreError> {
         let h = self.config.window;
         let metric = make_metric(self.config.metric, self.config.metric_config)?;
         if h < metric.min_window() {
@@ -252,8 +254,7 @@ impl OmegaViewBuilder {
         }
         let generation_time = gen_started.elapsed();
 
-        Ok(BuiltView {
-            view,
+        let report = BuildReport {
             model,
             cache_stats: cache.as_ref().map(|c| c.stats()),
             cache_len: cache.as_ref().map(|c| c.len()),
@@ -262,7 +263,8 @@ impl OmegaViewBuilder {
             generation_time,
             failures,
             threads_used,
-        })
+        };
+        Ok((view, report))
     }
 }
 
@@ -287,15 +289,15 @@ mod tests {
     fn builds_view_with_expected_shape() {
         let s = series(200);
         let omega = OmegaSpec::new(0.5, 8).unwrap();
-        let built = builder(None).build(&s, omega, "pv", None).unwrap();
+        let (view, built) = builder(None).build(&s, omega, "pv", None).unwrap();
         // 200 − 60 emitted timestamps × 8 cells.
         assert_eq!(built.model.len(), 140);
-        assert_eq!(built.view.len(), 140 * 8);
-        assert_eq!(built.view.name(), "pv");
+        assert_eq!(view.len(), 140 * 8);
+        assert_eq!(view.name(), "pv");
         assert!(built.failures == 0);
         // Every tuple's probability is valid and per-t masses sum ≤ 1.
         let mut per_t = std::collections::BTreeMap::new();
-        for (row, p) in built.view.iter() {
+        for (row, p) in view.iter() {
             assert!((0.0..=1.0).contains(&p));
             *per_t.entry(row[0].as_i64().unwrap()).or_insert(0.0) += p;
         }
@@ -309,13 +311,13 @@ mod tests {
     fn cached_and_naive_views_agree_within_tolerance() {
         let s = series(260);
         let omega = OmegaSpec::new(0.2, 20).unwrap();
-        let naive = builder(None).build(&s, omega, "pv", None).unwrap();
-        let cached = builder(Some(SigmaCacheConfig::default()))
+        let (naive, _) = builder(None).build(&s, omega, "pv", None).unwrap();
+        let (cached_view, cached) = builder(Some(SigmaCacheConfig::default()))
             .build(&s, omega, "pv", None)
             .unwrap();
-        assert_eq!(naive.view.len(), cached.view.len());
+        assert_eq!(naive.len(), cached_view.len());
         let mut max_err = 0.0f64;
-        for ((_, pn), (_, pc)) in naive.view.iter().zip(cached.view.iter()) {
+        for ((_, pn), (_, pc)) in naive.iter().zip(cached_view.iter()) {
             max_err = max_err.max((pn - pc).abs());
         }
         // H′ = 0.01 keeps per-cell error tiny.
@@ -332,7 +334,7 @@ mod tests {
         let omega = OmegaSpec::new(0.5, 4).unwrap();
         let t_lo = s.timestamps()[100];
         let t_hi = s.timestamps()[109];
-        let built = builder(None)
+        let (_, built) = builder(None)
             .build(&s, omega, "pv", Some((t_lo, t_hi)))
             .unwrap();
         assert_eq!(built.model.len(), 10);
@@ -345,11 +347,10 @@ mod tests {
     fn model_rows_match_view_lattice_centres() {
         let s = series(120);
         let omega = OmegaSpec::new(0.5, 4).unwrap();
-        let built = builder(None).build(&s, omega, "pv", None).unwrap();
+        let (view, built) = builder(None).build(&s, omega, "pv", None).unwrap();
         // For each model row, the λ = 0 tuple's lo equals r̂.
         for m in &built.model {
-            let lo0 = built
-                .view
+            let lo0 = view
                 .iter()
                 .find(|(row, _)| row[0].as_i64() == Some(m.time) && row[1].as_i64() == Some(0))
                 .map(|(row, _)| row[2].as_f64().unwrap())
@@ -373,8 +374,8 @@ mod tests {
             ..ViewBuilderConfig::default()
         })
         .unwrap();
-        let built = b.build(&s, omega, "pv", None).unwrap();
-        assert!(!built.view.is_empty());
+        let (view, built) = b.build(&s, omega, "pv", None).unwrap();
+        assert!(!view.is_empty());
         // Uniform densities never hit the Gaussian ladder.
         if let Some(stats) = built.cache_stats {
             assert_eq!(stats.hits, 0);
@@ -415,9 +416,9 @@ mod tests {
                 .unwrap()
                 .build(&s, omega, "pv", None)
                 .unwrap();
-                assert_eq!(parallel.view, sequential.view, "threads = {threads}");
-                assert_eq!(parallel.model, sequential.model, "threads = {threads}");
-                assert_eq!(parallel.failures, sequential.failures);
+                assert_eq!(parallel.0, sequential.0, "threads = {threads}");
+                assert_eq!(parallel.1.model, sequential.1.model, "threads = {threads}");
+                assert_eq!(parallel.1.failures, sequential.1.failures);
             }
         }
     }
@@ -426,7 +427,7 @@ mod tests {
     fn thread_count_is_reported() {
         let s = series(120);
         let omega = OmegaSpec::new(0.5, 4).unwrap();
-        let built = OmegaViewBuilder::new(ViewBuilderConfig {
+        let (_, built) = OmegaViewBuilder::new(ViewBuilderConfig {
             threads: 2,
             ..ViewBuilderConfig::default()
         })
@@ -440,10 +441,10 @@ mod tests {
     fn empty_time_range_builds_empty_view() {
         let s = series(120);
         let omega = OmegaSpec::new(0.5, 4).unwrap();
-        let built = builder(None)
+        let (view, built) = builder(None)
             .build(&s, omega, "pv", Some((i64::MAX - 1, i64::MAX)))
             .unwrap();
-        assert!(built.view.is_empty());
+        assert!(view.is_empty());
         assert!(built.model.is_empty());
     }
 }

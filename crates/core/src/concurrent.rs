@@ -11,16 +11,19 @@
 //!   revisions serialized every lookup behind a `Mutex` just to bump the
 //!   counters; the atomic counters removed the last reason for exclusive
 //!   access.)
-//! * [`SharedEngine`] shares one catalog behind an [`RwLock`]: `SELECT`s
-//!   take the read lock and run concurrently, only mutating statements
-//!   (loads, `INSERT`, `DROP`, view registration) take the write lock.
-//!   Every read runs through [`SharedEngine::execute_read`]: a resident
-//!   relation executes after the read lock is released, an on-disk one
-//!   streams under it.
+//! * [`SharedEngine`] is the one engine type, in memory or persistent. It
+//!   shares one catalog behind an [`RwLock`]: `SELECT`s take the read lock
+//!   and run concurrently. Every read runs through
+//!   [`SharedEngine::execute_read`]: a resident relation executes after
+//!   the read lock is released, an on-disk one streams under it. Every
+//!   mutating statement (loads, `INSERT`, `DROP`, view registration) takes
+//!   one path on both kinds of engine: the write lock, the journal when
+//!   persistent, the apply, then the autocheckpoint when persistent.
 //!   Density-view *builds* — the expensive part of `CREATE VIEW … AS
-//!   DENSITY` — run under the read lock too, since building only reads the
-//!   source table; the write lock is held just long enough to register the
-//!   finished view.
+//!   DENSITY` — run under the read lock first, since building only reads
+//!   the source table; the write lock then registers the finished view if
+//!   no write moved the catalog's generations in between, and rebuilds
+//!   otherwise.
 //!
 //! ## Streaming ingestion
 //!
@@ -37,8 +40,8 @@
 //! in-flight [`tspdb_probdb::RelationSnapshot`] readers survive a stream of
 //! them untouched.
 
-use crate::builder::ViewBuilderConfig;
-use crate::engine::{build_density_view, series_to_table, Engine, LastBuild};
+use crate::builder::{BuildReport, ViewBuilderConfig};
+use crate::engine::{build_density_view, series_to_table, LastBuild};
 use crate::error::CoreError;
 use crate::omega::{OmegaSpec, ProbabilityValue};
 use crate::sigma_cache::{CacheStats, SigmaCache, SigmaCacheConfig};
@@ -46,8 +49,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 use tspdb_probdb::{
-    not_a_read, CmpOp, Comparison, Database, DbError, DensityViewSpec, QueryOutput, ReadPlan,
-    Relation, ScanSource, Statement, Table, TupleSource, Value,
+    not_a_read, CmpOp, Comparison, Database, DbError, DensityViewSpec, ProbTable, QueryOutput,
+    ReadPlan, Relation, ScanSource, Statement, Table, TupleSource, Value,
 };
 use tspdb_storage::{CheckpointSource, JournalOp, Storage, StorageOptions};
 use tspdb_timeseries::TimeSeries;
@@ -139,7 +142,9 @@ impl SharedSigmaCache {
     }
 }
 
-/// A cloneable, `Send + Sync` handle to one engine shared across threads.
+/// The engine: a cloneable, `Send + Sync` handle, in memory
+/// ([`SharedEngine::new`]) or persistent
+/// ([`SharedEngine::open_persistent`]), driven from one thread or many.
 ///
 /// The catalog (the [`Database`] of tables and views) is the only state
 /// behind a lock; the builder defaults are immutable and the last-build
@@ -173,26 +178,14 @@ impl Default for SharedEngine {
 }
 
 impl SharedEngine {
-    /// Creates a shared engine with the given view-builder defaults.
+    /// Creates an in-memory engine with the given view-builder defaults
+    /// (a `CREATE VIEW … AS DENSITY` may override the metric and window
+    /// with `USING METRIC …` / `WINDOW …`).
     pub fn new(defaults: ViewBuilderConfig) -> Self {
         SharedEngine {
             catalog: Arc::new(RwLock::new(Database::new())),
             defaults,
             last_build: Arc::new(RwLock::new(None)),
-            storage: None,
-            lineage: Arc::new(Mutex::new(BTreeMap::new())),
-            dirty: Arc::new(Mutex::new(BTreeMap::new())),
-        }
-    }
-
-    /// Promotes a single-threaded [`Engine`] (tables, views and build
-    /// diagnostics included) into a shared handle.
-    pub fn from_engine(engine: Engine) -> Self {
-        let (db, defaults, last_build) = engine.into_parts();
-        SharedEngine {
-            catalog: Arc::new(RwLock::new(db)),
-            defaults,
-            last_build: Arc::new(RwLock::new(last_build)),
             storage: None,
             lineage: Arc::new(Mutex::new(BTreeMap::new())),
             dirty: Arc::new(Mutex::new(BTreeMap::new())),
@@ -222,12 +215,8 @@ impl SharedEngine {
             .map_err(CoreError::from)?;
         let storage = Arc::new(storage);
         let engine = SharedEngine {
-            catalog: Arc::new(RwLock::new(Database::new())),
-            defaults,
-            last_build: Arc::new(RwLock::new(None)),
             storage: Some(Arc::clone(&storage)),
-            lineage: Arc::new(Mutex::new(BTreeMap::new())),
-            dirty: Arc::new(Mutex::new(BTreeMap::new())),
+            ..SharedEngine::new(defaults)
         };
         {
             let mut catalog = engine.catalog.write().expect("catalog lock poisoned");
@@ -275,7 +264,7 @@ impl SharedEngine {
         match op {
             JournalOp::Sql(sql) => {
                 let stmt = tspdb_probdb::parse(sql)?;
-                self.apply_locked(catalog, stmt)?;
+                self.apply_locked(catalog, stmt, None)?;
             }
             JournalOp::LoadTable { name, schema, rows } => {
                 let mut table = Table::new(name.clone(), schema.clone());
@@ -302,20 +291,28 @@ impl SharedEngine {
     }
 
     /// Applies a statement against an exclusively borrowed catalog — the
-    /// write path shared by journaled execution and WAL replay. Density
-    /// views build inside the exclusive borrow here (unlike the in-memory
-    /// engine's build-under-read-lock path) so the WAL's commit order and
-    /// the apply order are the same order.
+    /// write path shared by [`SharedEngine::execute`] and WAL replay, so
+    /// the lineage and the last-build diagnostics change under the same
+    /// write lock as the catalog. A `CREATE VIEW … AS DENSITY` registers
+    /// `prebuilt` when given — a build of this very spec over this very
+    /// catalog state, made under the read lock — and builds here
+    /// otherwise, which is what replay does.
     fn apply_locked(
         &self,
         catalog: &mut Database,
         stmt: Statement,
+        prebuilt: Option<(ProbTable, BuildReport)>,
     ) -> Result<QueryOutput, CoreError> {
         self.mark_dirty(statement_dirty_targets(&stmt));
         match stmt {
             Statement::CreateDensityView(spec) => {
-                let (view, built) = build_density_view(catalog, self.defaults, &spec)?;
+                let (view, built) = match prebuilt {
+                    Some(prebuilt) => prebuilt,
+                    None => build_density_view(catalog, self.defaults, &spec)?,
+                };
                 catalog.register_prob_table(view)?;
+                // Lock order: catalog before last_build (the only place
+                // both are held at once).
                 *self.last_build.write().expect("last-build lock poisoned") = Some(LastBuild {
                     view_name: spec.view_name.clone(),
                     built,
@@ -518,129 +515,78 @@ impl SharedEngine {
 
     /// Executes any SQL statement.
     ///
-    /// * `SELECT` / `EXPLAIN` — read lock, concurrent with other readers.
-    /// * `CREATE VIEW … AS DENSITY` — the view is **built under the read
-    ///   lock** (inference only reads the source table), then registered
-    ///   under a brief write lock, so long builds do not starve queries.
-    ///   The build therefore works on a *snapshot*: if a writer replaces
-    ///   the source table in the gap, the registered view still reflects
-    ///   the data that was visible when the build began. Registration and
-    ///   the last-build diagnostics are updated inside one write-lock
-    ///   critical section, so `last_build()` always names the view
-    ///   registered last.
-    /// * Everything else — write lock.
+    /// * `SELECT` / `EXPLAIN` — [`SharedEngine::execute_read`], planned
+    ///   fresh (without the plan cache).
+    /// * Everything else takes the one write path: the write lock, the
+    ///   journal (append + fsync to the WAL) when persistent, the apply,
+    ///   then the autocheckpoint when persistent. Journaling **before**
+    ///   applying is the redo-log ordering that makes the committed prefix
+    ///   recoverable, and holding the write lock across both keeps WAL
+    ///   order and apply order identical, which replay depends on.
+    /// * `CREATE VIEW … AS DENSITY` first **builds the view under the read
+    ///   lock** (inference only reads the source table), so long builds do
+    ///   not starve queries, and notes the catalog's DDL and data
+    ///   generations under the same guard. Under the write lock it
+    ///   registers that view only if neither generation moved — every
+    ///   catalog write bumps one — so the view is exactly what replaying
+    ///   the journaled statement rebuilds; otherwise it rebuilds there. A
+    ///   build that fails under the read lock fails the statement before
+    ///   anything is journaled.
+    ///   Registration, lineage and the last-build diagnostics change in
+    ///   that one critical section, so `last_build()` always names the
+    ///   view registered last and a concurrent append either lands before
+    ///   the view (and is in it) or after (and maintains it).
     pub fn execute(&self, sql: &str) -> Result<QueryOutput, CoreError> {
         let stmt = tspdb_probdb::parse(sql)?;
-        self.execute_journaled(Some(sql), stmt)
+        self.execute_sql_statement(sql, stmt)
     }
 
-    /// [`SharedEngine::execute`] for an already-parsed statement — the
-    /// parse-free entry point for callers that classified the statement
-    /// themselves. Lock discipline is identical to `execute`.
-    ///
-    /// On a **persistent** engine, mutating statements are rejected here:
-    /// the journal records original SQL text, so persistent writers must
-    /// supply it via [`SharedEngine::execute_sql_statement`] (or
-    /// [`SharedEngine::execute`]).
-    pub fn execute_statement(
-        &self,
-        stmt: tspdb_probdb::Statement,
-    ) -> Result<QueryOutput, CoreError> {
-        self.execute_journaled(None, stmt)
-    }
-
-    /// [`SharedEngine::execute_statement`] with the statement's original
-    /// SQL text alongside the parsed form — the entry point the wire
-    /// server uses, avoiding a re-parse while keeping the journal able to
-    /// record the text.
+    /// [`SharedEngine::execute`] for an already-parsed statement, with its
+    /// original SQL text for the journal — the entry point the wire
+    /// server uses, avoiding a re-parse.
     pub fn execute_sql_statement(
         &self,
         sql: &str,
-        stmt: tspdb_probdb::Statement,
+        stmt: Statement,
     ) -> Result<QueryOutput, CoreError> {
-        self.execute_journaled(Some(sql), stmt)
-    }
-
-    /// The write path behind every `execute*` variant. In-memory engines
-    /// keep the original lock discipline (density views build under the
-    /// read lock). Persistent engines serialise mutating statements under
-    /// the write lock and journal them **before** applying: append + fsync
-    /// to the WAL first, then apply in memory — the redo-log ordering that
-    /// makes the committed prefix recoverable. Holding the write lock
-    /// across both steps keeps WAL order and apply order identical, which
-    /// replay depends on.
-    fn execute_journaled(
-        &self,
-        sql: Option<&str>,
-        stmt: tspdb_probdb::Statement,
-    ) -> Result<QueryOutput, CoreError> {
-        // TAIL registers a continuous query; there is no one-shot answer
-        // to produce and nothing to redo on recovery. Reject it *before*
-        // the journaling branch so the statement never reaches the WAL.
-        if matches!(stmt, Statement::Tail(_)) {
-            return Err(CoreError::Db(not_a_read(&stmt)));
-        }
-        let mutating = !matches!(stmt, Statement::Select(_) | Statement::Explain(_));
-        if let (Some(storage), true) = (&self.storage, mutating) {
-            let Some(sql) = sql else {
-                return Err(CoreError::Db(DbError::Storage(
-                    "persistent engines journal original SQL text; \
-                     use execute() or execute_sql_statement()"
-                        .into(),
-                )));
-            };
-            let mut catalog = self.catalog.write().expect("catalog lock poisoned");
+        let prebuilt = match &stmt {
+            // TAIL registers a continuous query: there is no one-shot
+            // answer to produce and nothing to redo on recovery, so it is
+            // refused before it can reach the journal.
+            Statement::Tail(_) => return Err(CoreError::Db(not_a_read(&stmt))),
+            Statement::Select(_) | Statement::Explain(_) => {
+                return self.execute_read(&ReadPlan::plan(stmt)?, None)
+            }
+            Statement::CreateDensityView(spec) => {
+                let catalog = self.read();
+                let seen = generations(&catalog);
+                Some((seen, build_density_view(&catalog, self.defaults, spec)?))
+            }
+            _ => None,
+        };
+        let mut catalog = self.catalog.write().expect("catalog lock poisoned");
+        if let Some(storage) = &self.storage {
             storage
                 .log(&JournalOp::Sql(sql.to_string()))
                 .map_err(DbError::from)?;
-            let out = self.apply_locked(&mut catalog, stmt)?;
+        }
+        let prebuilt = prebuilt
+            .filter(|(seen, _)| *seen == generations(&catalog))
+            .map(|(_, built)| built);
+        let out = self.apply_locked(&mut catalog, stmt, prebuilt)?;
+        self.autocheckpoint(&mut catalog)?;
+        Ok(out)
+    }
+
+    /// Checkpoints a persistent engine whose WAL has outgrown
+    /// [`WAL_AUTOCHECKPOINT_BYTES`]; the end of every write.
+    fn autocheckpoint(&self, catalog: &mut Database) -> Result<(), CoreError> {
+        if let Some(storage) = &self.storage {
             if storage.wal_bytes().map_err(DbError::from)? >= WAL_AUTOCHECKPOINT_BYTES {
-                self.checkpoint_locked(&mut catalog, storage)?;
-            }
-            return Ok(out);
-        }
-        match stmt {
-            tspdb_probdb::Statement::CreateDensityView(spec) => {
-                let (view, built) = build_density_view(&self.read(), self.defaults, &spec)?;
-                {
-                    // Lock order: catalog before last_build (the only place
-                    // both are held at once).
-                    let mut catalog = self.catalog.write().expect("catalog lock poisoned");
-                    catalog.register_prob_table(view)?;
-                    *self.last_build.write().expect("last-build lock poisoned") = Some(LastBuild {
-                        view_name: spec.view_name.clone(),
-                        built,
-                    });
-                }
-                self.lineage
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .insert(spec.view_name.clone(), spec);
-                Ok(QueryOutput::None)
-            }
-            read @ (Statement::Select(_) | Statement::Explain(_)) => {
-                self.execute_read(&ReadPlan::plan(read)?, None)
-            }
-            other => {
-                let dropped = match &other {
-                    Statement::Drop { name } => Some(name.clone()),
-                    _ => None,
-                };
-                let out = self
-                    .catalog
-                    .write()
-                    .expect("catalog lock poisoned")
-                    .execute_parsed(other)
-                    .map_err(CoreError::from)?;
-                if let Some(name) = dropped {
-                    self.lineage
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .remove(&name);
-                }
-                Ok(out)
+                self.checkpoint_locked(catalog, storage)?;
             }
         }
+        Ok(())
     }
 
     /// Appends `rows` to one deterministic table — a single-batch
@@ -692,11 +638,7 @@ impl SharedEngine {
                 Err(e) => first_err = first_err.or(Some(e)),
             }
         }
-        if let Some(storage) = &self.storage {
-            if storage.wal_bytes().map_err(DbError::from)? >= WAL_AUTOCHECKPOINT_BYTES {
-                self.checkpoint_locked(&mut catalog, storage)?;
-            }
-        }
+        self.autocheckpoint(&mut catalog)?;
         match first_err {
             Some(e) => Err(e),
             None => Ok(appended),
@@ -793,8 +735,9 @@ impl SharedEngine {
         }
     }
 
-    /// Loads a time series as a `(t INT, <value_col> FLOAT)` table (write
-    /// lock; see [`Engine::load_series`]).
+    /// Loads a time series as a two-column table `(t INT, <value_col>
+    /// FLOAT)` — the `raw_values` table of the paper's running example
+    /// (write lock).
     pub fn load_series(
         &self,
         table_name: &str,
@@ -841,6 +784,12 @@ impl SharedEngine {
     pub fn set_worlds_threads(&self, threads: usize) {
         self.read().set_worlds_threads(threads);
     }
+}
+
+/// The catalog's `(DDL, data)` generations. Every catalog write bumps one
+/// of them, so an unchanged pair means an unchanged catalog.
+fn generations(catalog: &Database) -> (u64, u64) {
+    (catalog.generation(), catalog.data_generation())
 }
 
 /// The relations a mutating statement writes — what the dirty tracker
@@ -1107,39 +1056,6 @@ mod tests {
         });
         let out = engine.query("SELECT * FROM scratch").unwrap();
         assert_eq!(out.rows().unwrap().len(), 2);
-    }
-
-    #[test]
-    fn shared_engine_from_engine_preserves_state() {
-        let mut e = Engine::new(ViewBuilderConfig {
-            window: 60,
-            metric_config: MetricConfig {
-                p: 1,
-                ..MetricConfig::default()
-            },
-            ..ViewBuilderConfig::default()
-        });
-        let series = TemperatureGenerator::default().generate(150);
-        e.load_series("raw_values", "r", &series).unwrap();
-        e.execute("CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.5, n=6 FROM raw_values")
-            .unwrap();
-        let rows_before = e
-            .query("SELECT * FROM pv")
-            .unwrap()
-            .prob_rows()
-            .unwrap()
-            .len();
-
-        let shared = SharedEngine::from_engine(e);
-        let rows_after = shared
-            .query("SELECT * FROM pv")
-            .unwrap()
-            .prob_rows()
-            .unwrap()
-            .len();
-        assert_eq!(rows_before, rows_after);
-        assert_eq!(shared.last_build().unwrap().view_name, "pv");
-        assert!(shared.read().prob_table("pv").is_ok());
     }
 
     /// Self-cleaning temp dir for the persistent-engine tests (no
@@ -1490,5 +1406,82 @@ mod tests {
         });
         assert_eq!(engine.last_build().unwrap().view_name, "pv2");
         assert!(engine.read().prob_table("pv2").is_ok());
+    }
+
+    /// Runs `write` on this thread while another thread streams one-row
+    /// appends into `raw_values` (from `t = from` on) until `write`
+    /// returns; yields the next unappended timestamp.
+    fn race_appends(engine: &SharedEngine, from: i64, write: impl FnOnce()) -> i64 {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let appender = s.spawn(|| {
+                let mut t = from;
+                while !done.load(Ordering::Acquire) {
+                    engine
+                        .append_rows("raw_values", synthetic_rows(t..t + 1))
+                        .unwrap();
+                    t += 1;
+                    // Back-to-back writers would starve `write`'s read
+                    // lock (the catalog lock prefers writers).
+                    std::thread::yield_now();
+                }
+                t
+            });
+            write();
+            done.store(true, Ordering::Release);
+            appender.join().unwrap()
+        })
+    }
+
+    #[test]
+    fn create_view_racing_appends_equals_a_build_over_all_rows() {
+        // An append that lands between the read-lock build and the
+        // registration must end up in the view like every other row.
+        for _ in 0..8 {
+            let engine = SharedEngine::new(direct_config());
+            engine
+                .execute("CREATE TABLE raw_values (t INT, r FLOAT)")
+                .unwrap();
+            engine
+                .append_rows("raw_values", synthetic_rows(0..60))
+                .unwrap();
+            let next = race_appends(&engine, 60, || {
+                engine
+                    .execute(
+                        "CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.5, n=6 FROM raw_values",
+                    )
+                    .unwrap();
+            });
+            engine
+                .append_rows("raw_values", synthetic_rows(next..next + 1))
+                .unwrap();
+            let twin = engine_with_rows(direct_config(), next + 1);
+            let sql = "SELECT * FROM pv";
+            assert_eq!(engine.query(sql).unwrap(), twin.query(sql).unwrap());
+        }
+    }
+
+    #[test]
+    fn drop_view_racing_appends_stays_dropped() {
+        // With the σ-cache off a racing append maintains the view in place,
+        // with it on it rebuilds the view: neither may see a half-dropped
+        // view, so every append succeeds and nothing resurrects `pv`.
+        let cached = ViewBuilderConfig {
+            cache: Some(SigmaCacheConfig::default()),
+            ..direct_config()
+        };
+        for config in [direct_config(), cached] {
+            for _ in 0..8 {
+                let engine = engine_with_rows(config, 60);
+                let next = race_appends(&engine, 60, || {
+                    engine.execute("DROP VIEW pv").unwrap();
+                });
+                engine
+                    .append_rows("raw_values", synthetic_rows(next..next + 1))
+                    .unwrap();
+                assert!(engine.read().prob_table("pv").is_err());
+            }
+        }
     }
 }

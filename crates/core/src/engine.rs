@@ -1,137 +1,42 @@
-//! The end-to-end engine: SQL in, probabilistic views out.
+//! The offline mode's building blocks: SQL in, probabilistic views out.
 //!
-//! [`Engine`] glues the substrate together: it owns a
+//! [`crate::concurrent::SharedEngine`] is the engine. It owns a
 //! [`tspdb_probdb::Database`], loads time series as `raw_values`-style
-//! tables, and executes the paper's SQL-like statements — including the
-//! Fig. 7 `CREATE VIEW … AS DENSITY …` query, which it fulfils with the
-//! [`OmegaViewBuilder`]. This is the "offline mode" of the framework; the
-//! "online mode" lives in [`crate::online`].
+//! tables and executes the paper's SQL-like statements. This module holds
+//! what it uses for the Fig. 7 `CREATE VIEW … AS DENSITY …` query: the
+//! spec-to-view build over the [`OmegaViewBuilder`], the series ↔ table
+//! conversions, and the diagnostics of the last build. This is the
+//! "offline mode" of the framework; the "online mode" lives in
+//! [`crate::online`].
 
-use crate::builder::{BuiltView, OmegaViewBuilder, ViewBuilderConfig};
+use crate::builder::{BuildReport, OmegaViewBuilder, ViewBuilderConfig};
 use crate::error::CoreError;
 use crate::metrics::MetricKind;
 use crate::omega::OmegaSpec;
 use tspdb_probdb::{
-    CmpOp, ColumnType, Conjunction, Database, DbError, DensityViewSpec, ProbTable, QueryOutput,
-    Schema, Table, Value,
+    CmpOp, ColumnType, Conjunction, Database, DbError, DensityViewSpec, ProbTable, Schema, Table,
+    Value,
 };
 use tspdb_timeseries::TimeSeries;
 
-/// Build diagnostics of the most recent `CREATE VIEW … AS DENSITY`.
+/// Build diagnostics of the most recent `CREATE VIEW … AS DENSITY`. The
+/// view itself lives only in the catalog.
 #[derive(Debug, Clone)]
 pub struct LastBuild {
     /// Name of the created view.
     pub view_name: String,
-    /// Full diagnostics from the builder.
-    pub built: BuiltView,
+    /// The builder's diagnostics.
+    pub built: BuildReport,
 }
 
-/// The offline query engine.
-#[derive(Debug)]
-pub struct Engine {
-    db: Database,
-    defaults: ViewBuilderConfig,
-    last_build: Option<LastBuild>,
-}
-
-impl Default for Engine {
-    fn default() -> Self {
-        Engine::new(ViewBuilderConfig::default())
-    }
-}
-
-impl Engine {
-    /// Creates an engine with the given default view-builder configuration
-    /// (individual queries may override the metric and window via
-    /// `USING METRIC …` / `WINDOW …`).
-    pub fn new(defaults: ViewBuilderConfig) -> Self {
-        Engine {
-            db: Database::new(),
-            defaults,
-            last_build: None,
-        }
-    }
-
-    /// Read access to the underlying database.
-    pub fn db(&self) -> &Database {
-        &self.db
-    }
-
-    /// Mutable access to the underlying database.
-    pub fn db_mut(&mut self) -> &mut Database {
-        &mut self.db
-    }
-
-    /// Diagnostics of the most recent density-view build.
-    pub fn last_build(&self) -> Option<&LastBuild> {
-        self.last_build.as_ref()
-    }
-
-    /// Sets the fork-join width for `SELECT … WITH WORLDS` queries (`0` =
-    /// one thread per core). Sampling is bit-identical at every width, so
-    /// this only tunes latency.
-    pub fn set_worlds_threads(&mut self, threads: usize) {
-        self.db.set_worlds_threads(threads);
-    }
-
-    /// Loads a time series as a two-column table `(t INT, <value_col>
-    /// FLOAT)` — the `raw_values` table of the paper's running example.
-    pub fn load_series(
-        &mut self,
-        table_name: &str,
-        value_column: &str,
-        series: &TimeSeries,
-    ) -> Result<(), CoreError> {
-        let table = series_to_table(table_name, value_column, series)?;
-        self.db.register_table(table)?;
-        Ok(())
-    }
-
-    /// Executes a read-only statement (`SELECT`) against the database.
-    ///
-    /// Takes `&self`: queries never require exclusive access to the engine,
-    /// so any number of threads holding shared references (or a
-    /// [`crate::concurrent::SharedEngine`] read lock) can run them
-    /// concurrently.
-    pub fn query(&self, sql: &str) -> Result<QueryOutput, CoreError> {
-        self.db.query(sql).map_err(CoreError::from)
-    }
-
-    /// Executes one SQL statement; `CREATE VIEW … AS DENSITY` is fulfilled
-    /// by the Ω-view builder, everything else by the database layer
-    /// (which plans a `SELECT` fresh, without the plan cache).
-    pub fn execute(&mut self, sql: &str) -> Result<QueryOutput, CoreError> {
-        let stmt = tspdb_probdb::parse(sql)?;
-        match stmt {
-            tspdb_probdb::Statement::CreateDensityView(spec) => {
-                let (view, built) = build_density_view(&self.db, self.defaults, &spec)?;
-                self.db.register_prob_table(view)?;
-                self.last_build = Some(LastBuild {
-                    view_name: spec.view_name.clone(),
-                    built,
-                });
-                Ok(QueryOutput::None)
-            }
-            other => self.db.execute_parsed(other).map_err(CoreError::from),
-        }
-    }
-
-    /// Decomposes the engine into its state, for promotion into a
-    /// [`crate::concurrent::SharedEngine`].
-    pub(crate) fn into_parts(self) -> (Database, ViewBuilderConfig, Option<LastBuild>) {
-        (self.db, self.defaults, self.last_build)
-    }
-}
-
-/// Fulfils a density-view spec against a database snapshot. Free function so
-/// both [`Engine`] and [`crate::concurrent::SharedEngine`] can build views —
-/// the latter under a *read* lock, since building only reads the source
-/// table.
+/// Fulfils a density-view spec against a database snapshot. It only reads
+/// the source table, so [`crate::concurrent::SharedEngine`] runs it under
+/// the catalog's *read* lock.
 pub(crate) fn build_density_view(
     db: &Database,
     defaults: ViewBuilderConfig,
     spec: &DensityViewSpec,
-) -> Result<(ProbTable, BuiltView), CoreError> {
+) -> Result<(ProbTable, BuildReport), CoreError> {
     let source = db.table(&spec.source_table)?;
     let series = table_to_series(source, &spec.time_column, &spec.value_column)?;
     let omega = OmegaSpec::new(spec.delta, spec.n)?;
@@ -144,14 +49,11 @@ pub(crate) fn build_density_view(
     if let Some(w) = spec.window {
         config.window = w;
     }
-    let builder = OmegaViewBuilder::new(config)?;
-    let built = builder.build(&series, omega, &spec.view_name, bounds)?;
-    Ok((built.view.clone(), built))
+    OmegaViewBuilder::new(config)?.build(&series, omega, &spec.view_name, bounds)
 }
 
 /// Builds the `(t INT, <value_col> FLOAT)` table representation of a time
-/// series (shared by [`Engine::load_series`] and
-/// [`crate::concurrent::SharedEngine::load_series`]).
+/// series (see [`crate::concurrent::SharedEngine::load_series`]).
 pub(crate) fn series_to_table(
     table_name: &str,
     value_column: &str,
@@ -259,12 +161,13 @@ pub fn time_bounds_from_predicate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::concurrent::SharedEngine;
     use crate::metrics::MetricConfig;
     use tspdb_probdb::Comparison;
     use tspdb_timeseries::generate::TemperatureGenerator;
 
-    fn engine_with_series(n: usize) -> Engine {
-        let mut e = Engine::new(ViewBuilderConfig {
+    fn engine_with_series(n: usize) -> SharedEngine {
+        let e = SharedEngine::new(ViewBuilderConfig {
             window: 60,
             metric_config: MetricConfig {
                 p: 1,
@@ -279,7 +182,7 @@ mod tests {
 
     #[test]
     fn end_to_end_density_view_via_sql() {
-        let mut e = engine_with_series(150);
+        let e = engine_with_series(150);
         e.execute("CREATE VIEW prob_view AS DENSITY r OVER t OMEGA delta=0.5, n=6 FROM raw_values")
             .unwrap();
         let out = e.execute("SELECT * FROM prob_view LIMIT 6").unwrap();
@@ -292,7 +195,7 @@ mod tests {
 
     #[test]
     fn where_clause_limits_time_interval() {
-        let mut e = engine_with_series(200);
+        let e = engine_with_series(200);
         // Timestamps are 0, 120, 240, …; pick an interval covering 5 ticks
         // past the warm-up window of 60 samples (t = 7200 s).
         e.execute(
@@ -300,7 +203,8 @@ mod tests {
              FROM raw_values WHERE t >= 12000 AND t <= 12480",
         )
         .unwrap();
-        let view = e.db().prob_table("pv").unwrap();
+        let catalog = e.read();
+        let view = catalog.prob_table("pv").unwrap();
         assert_eq!(view.len(), 5 * 4);
         for (row, _) in view.iter() {
             let t = row[0].as_i64().unwrap();
@@ -310,7 +214,7 @@ mod tests {
 
     #[test]
     fn using_metric_and_window_override_defaults() {
-        let mut e = engine_with_series(150);
+        let e = engine_with_series(150);
         e.execute(
             "CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=1, n=4 \
              FROM raw_values USING METRIC vt WINDOW 80",
@@ -322,7 +226,7 @@ mod tests {
 
     #[test]
     fn unknown_metric_is_reported() {
-        let mut e = engine_with_series(120);
+        let e = engine_with_series(120);
         let err = e
             .execute(
                 "CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=1, n=4 \
@@ -334,7 +238,7 @@ mod tests {
 
     #[test]
     fn non_time_predicate_is_rejected() {
-        let mut e = engine_with_series(120);
+        let e = engine_with_series(120);
         let err = e
             .execute(
                 "CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=1, n=4 \
@@ -385,7 +289,7 @@ mod tests {
 
     #[test]
     fn ordinary_sql_still_works_through_engine() {
-        let mut e = Engine::default();
+        let e = SharedEngine::default();
         e.execute("CREATE TABLE x (a INT)").unwrap();
         e.execute("INSERT INTO x VALUES (1), (2)").unwrap();
         let out = e.execute("SELECT * FROM x WHERE a > 1").unwrap();
@@ -394,11 +298,11 @@ mod tests {
 
     #[test]
     fn query_takes_shared_reference_and_rejects_writes() {
-        let mut e = engine_with_series(150);
+        let e = engine_with_series(150);
         e.execute("CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.5, n=6 FROM raw_values")
             .unwrap();
-        // Read path through &Engine only.
-        let shared: &Engine = &e;
+        // Read path only.
+        let shared: &SharedEngine = &e;
         let out = shared.query("SELECT * FROM pv LIMIT 3").unwrap();
         assert_eq!(out.prob_rows().unwrap().len(), 3);
         // Writes are refused on the read path.
@@ -412,7 +316,7 @@ mod tests {
 
     #[test]
     fn with_worlds_query_runs_against_a_density_view() {
-        let mut e = engine_with_series(150);
+        let e = engine_with_series(150);
         e.execute("CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.5, n=6 FROM raw_values")
             .unwrap();
         e.set_worlds_threads(2);
@@ -440,7 +344,7 @@ mod tests {
 
     #[test]
     fn aggregate_queries_run_through_the_planner_on_views() {
-        let mut e = engine_with_series(150);
+        let e = engine_with_series(150);
         e.execute("CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.5, n=6 FROM raw_values")
             .unwrap();
         // Exact grouped aggregate: E[count | t] = Σ prob over the 6 cells.
@@ -475,10 +379,11 @@ mod tests {
     fn fig1_style_query_on_view() {
         // Downstream probabilistic query over the created view: the most
         // probable range per timestamp (the "which room is Alice in" shape).
-        let mut e = engine_with_series(130);
+        let e = engine_with_series(130);
         e.execute("CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.5, n=4 FROM raw_values")
             .unwrap();
-        let view = e.db().prob_table("pv").unwrap();
+        let catalog = e.read();
+        let view = catalog.prob_table("pv").unwrap();
         let best = tspdb_probdb::query::most_probable_per_group(view, "t").unwrap();
         assert_eq!(best.len(), 70);
         // The winning cell must be adjacent to the mean (λ ∈ {−1, 0}).

@@ -15,16 +15,17 @@
 //! * [`sigma_cache`] — the σ-cache with Theorem 1/2 guarantees
 //!   (Section VI-A/B); [`online`] adds the lazily grown streaming variant.
 //! * [`builder`] — the Ω-view builder materialising tuple-independent
-//!   probabilistic views; [`engine`] exposes it behind the paper's
+//!   probabilistic views; [`SharedEngine`] (in [`concurrent`], with its
+//!   view-build helpers in [`engine`]) exposes it behind the paper's
 //!   SQL-like syntax (Fig. 7).
 //!
 //! ## Quick start
 //!
 //! ```
-//! use tspdb_core::engine::Engine;
+//! use tspdb_core::SharedEngine;
 //! use tspdb_timeseries::generate::TemperatureGenerator;
 //!
-//! let mut engine = Engine::default();
+//! let engine = SharedEngine::default();
 //! let series = TemperatureGenerator::default().generate(150);
 //! engine.load_series("raw_values", "r", &series).unwrap();
 //! engine
@@ -59,10 +60,9 @@ pub mod quality;
 pub mod sigma_cache;
 pub mod svr;
 
-pub use builder::{BuiltView, OmegaViewBuilder, ViewBuilderConfig};
+pub use builder::{BuildReport, OmegaViewBuilder, ViewBuilderConfig};
 pub use cgarch::{CGarch, CGarchConfig, CGarchReport};
 pub use concurrent::{SharedEngine, SharedSigmaCache};
-pub use engine::Engine;
 pub use error::CoreError;
 pub use metrics::{
     ArmaGarch, DynamicDensityMetric, Inference, KalmanGarch, MetricConfig, MetricKind,

@@ -12,8 +12,8 @@
 //!
 //! The one statement the catalog cannot execute by itself is `CREATE VIEW
 //! … AS DENSITY …` — inferring densities is the job of the `tspdb-core`
-//! crate — so [`Database::execute_with`] accepts a *density handler*
-//! callback that the upper layer provides. This keeps the dependency arrow
+//! crate, whose engine builds the view and registers it through
+//! [`Database::register_prob_table`]. This keeps the dependency arrow
 //! pointing from the paper's contribution down into the substrate, never
 //! backwards.
 
@@ -24,7 +24,7 @@ use crate::plan::{
 use crate::plan_cache::{PlanCache, PlanCacheStats};
 use crate::schema::Schema;
 use crate::shard::ShardMap;
-use crate::sql::{parse, DensityViewSpec, Statement};
+use crate::sql::{parse, Statement};
 use crate::table::{ProbTable, Table};
 use crate::value::{ColumnType, Value};
 use crate::worlds::WorldsResult;
@@ -366,12 +366,6 @@ impl QueryOutput {
         }
     }
 }
-
-/// Signature of the density-view handler supplied by the upper layer: given
-/// the source table and the parsed view spec, produce the probabilistic
-/// view contents.
-pub type DensityHandler<'a> =
-    dyn FnMut(&Table, &DensityViewSpec) -> Result<ProbTable, DbError> + 'a;
 
 /// A fallback provider of relations that are not resident in memory —
 /// implemented by the persistent storage engine upstream (`tspdb-storage`),
@@ -1088,8 +1082,8 @@ impl Database {
     }
 
     /// Executes a SQL statement that does not require density inference.
-    /// `CREATE VIEW … AS DENSITY …` returns [`DbError::Unsupported`]; use
-    /// [`Database::execute_with`] for that.
+    /// `CREATE VIEW … AS DENSITY …` returns [`DbError::Unsupported`]: the
+    /// `tspdb-core` engine builds those views.
     pub fn execute(&mut self, sql: &str) -> Result<QueryOutput, DbError> {
         self.execute_parsed(parse(sql)?)
     }
@@ -1097,44 +1091,6 @@ impl Database {
     /// [`Database::execute`] for an already-parsed statement (no
     /// re-tokenizing on paths where the caller holds the AST).
     pub fn execute_parsed(&mut self, stmt: Statement) -> Result<QueryOutput, DbError> {
-        match stmt {
-            Statement::CreateDensityView(_) => Err(DbError::Unsupported(
-                "DENSITY views need a density handler; use execute_with (or the \
-                 tspdb-core engine)"
-                    .into(),
-            )),
-            other => self.execute_statement(other),
-        }
-    }
-
-    /// Executes any SQL statement, delegating `DENSITY` view creation to
-    /// the supplied handler.
-    pub fn execute_with(
-        &mut self,
-        sql: &str,
-        handler: &mut DensityHandler<'_>,
-    ) -> Result<QueryOutput, DbError> {
-        let stmt = parse(sql)?;
-        match stmt {
-            Statement::CreateDensityView(spec) => {
-                let source = self.table(&spec.source_table)?;
-                let mut view = handler(source, &spec)?;
-                // The handler may not know the requested view name.
-                if view.name() != spec.view_name {
-                    let mut renamed = ProbTable::new(spec.view_name.clone(), view.schema().clone());
-                    for (row, p) in view.iter() {
-                        renamed.insert(row.to_vec(), p)?;
-                    }
-                    view = renamed;
-                }
-                self.register_prob_table(view)?;
-                Ok(QueryOutput::None)
-            }
-            other => self.execute_statement(other),
-        }
-    }
-
-    fn execute_statement(&mut self, stmt: Statement) -> Result<QueryOutput, DbError> {
         match stmt {
             Statement::CreateTable { name, columns } => {
                 let table = Table::new(name, Schema::new(columns));
@@ -1147,7 +1103,11 @@ impl Database {
             read @ (Statement::Select(_) | Statement::Explain(_)) => {
                 self.execute_read(&ReadPlan::plan(read)?)
             }
-            Statement::CreateDensityView(_) => unreachable!("handled by callers"),
+            Statement::CreateDensityView(_) => Err(DbError::Unsupported(
+                "DENSITY views are built by the tspdb-core engine \
+                 (SharedEngine::execute)"
+                    .into(),
+            )),
             tail @ Statement::Tail(_) => Err(not_a_read(&tail)),
             Statement::Drop { name } => {
                 // Materialise an evicted relation first so the drop is
@@ -1220,39 +1180,6 @@ mod tests {
         let mut db = setup();
         let sql = "CREATE VIEW v AS DENSITY r OVER t OMEGA delta=1, n=2 FROM raw_values";
         assert!(matches!(db.execute(sql), Err(DbError::Unsupported(_))));
-    }
-
-    #[test]
-    fn density_view_with_handler_registers_view() {
-        let mut db = setup();
-        let sql = "CREATE VIEW v AS DENSITY r OVER t OMEGA delta=1, n=2 \
-                   FROM raw_values WHERE t >= 1 AND t <= 2";
-        let mut handler = |src: &Table, spec: &DensityViewSpec| {
-            assert_eq!(src.name(), "raw_values");
-            assert_eq!(spec.n, 2);
-            let schema = Schema::of(&[
-                ("t", crate::value::ColumnType::Int),
-                ("lo", crate::value::ColumnType::Float),
-                ("hi", crate::value::ColumnType::Float),
-            ]);
-            let mut v = ProbTable::new("anything", schema);
-            v.insert(
-                vec![Value::Int(1), Value::Float(0.0), Value::Float(1.0)],
-                0.7,
-            )
-            .unwrap();
-            Ok(v)
-        };
-        db.execute_with(sql, &mut handler).unwrap();
-        let view = db.prob_table("v").unwrap();
-        assert_eq!(view.len(), 1);
-        assert_eq!(view.name(), "v");
-
-        // SELECT over the created probabilistic view.
-        let out = db.execute("SELECT * FROM v WHERE prob >= 0.5").unwrap();
-        assert_eq!(out.prob_rows().unwrap().len(), 1);
-        let none = db.execute("SELECT * FROM v WHERE prob >= 0.9").unwrap();
-        assert!(none.prob_rows().unwrap().is_empty());
     }
 
     #[test]

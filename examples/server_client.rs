@@ -3,7 +3,7 @@
 //!
 //! The example drives one statement script twice — through a
 //! [`tspdb_client::Client`] against a running server, and through a local
-//! in-process [`tspdb::Engine`] mirror — and asserts that each response
+//! in-process [`tspdb::SharedEngine`] mirror — and asserts that each response
 //! crosses the wire **byte for byte** identical to the in-process result
 //! (Monte-Carlo results compare by their bit-exact fingerprint, which
 //! excludes only wall-clock time). Prepared statements then replay the
@@ -70,7 +70,7 @@ fn main() {
     println!("connected to {} at {addr}", client.server_info());
 
     // The in-process mirror executes the identical script locally.
-    let mut mirror = tspdb::Engine::new(demo_config());
+    let mirror = tspdb::SharedEngine::new(demo_config());
 
     let mut script: Vec<String> = vec![
         SETUP[0].to_string(),

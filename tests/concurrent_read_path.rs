@@ -1,5 +1,6 @@
 //! The lock-free read path under fire: N threads of `SELECT`s against one
-//! `SharedEngine`, cross-checked against a single-threaded `Engine`, plus
+//! `SharedEngine`, cross-checked against a second engine driven from one
+//! thread, plus
 //! properties pinning down that parallel and sequential Ω-view builds are
 //! identical.
 
@@ -7,9 +8,7 @@ use proptest::prelude::*;
 use tspdb::core::builder::OmegaViewBuilder;
 use tspdb::core::OmegaSpec;
 use tspdb::timeseries::generate::TemperatureGenerator;
-use tspdb::{
-    Engine, MetricConfig, SharedEngine, SharedSigmaCache, SigmaCacheConfig, ViewBuilderConfig,
-};
+use tspdb::{MetricConfig, SharedEngine, SharedSigmaCache, SigmaCacheConfig, ViewBuilderConfig};
 
 fn config() -> ViewBuilderConfig {
     ViewBuilderConfig {
@@ -59,8 +58,8 @@ fn fingerprint(out: &tspdb::probdb::QueryOutput) -> String {
 fn eight_threads_of_selects_match_single_threaded_engine() {
     let series = TemperatureGenerator::default().generate(260);
 
-    // Reference: the plain single-threaded engine.
-    let mut reference = Engine::new(config());
+    // Reference: a second engine, driven from this thread only.
+    let reference = SharedEngine::new(config());
     reference.load_series("raw_values", "r", &series).unwrap();
     reference.execute(CREATE_VIEW).unwrap();
     let expected: Vec<String> = QUERIES
@@ -150,9 +149,9 @@ proptest! {
             .build(&series, omega, "pv", None)
             .unwrap()
         };
-        let sequential = build(1);
-        let parallel = build(threads);
-        prop_assert_eq!(&parallel.view, &sequential.view);
+        let (sequential_view, sequential) = build(1);
+        let (parallel_view, parallel) = build(threads);
+        prop_assert_eq!(&parallel_view, &sequential_view);
         prop_assert_eq!(&parallel.model, &sequential.model);
         prop_assert_eq!(parallel.failures, sequential.failures);
         // The σ-cache sees the same query stream either way.
@@ -171,7 +170,7 @@ proptest! {
         let omega = OmegaSpec::new(0.5, 4).unwrap();
         let t_lo = series.timestamps()[lo_idx.min(len - 1)];
         let t_hi = series.timestamps()[(lo_idx + span).min(len - 1)];
-        let built = OmegaViewBuilder::new(ViewBuilderConfig {
+        let (_, built) = OmegaViewBuilder::new(ViewBuilderConfig {
             threads,
             ..config()
         })
